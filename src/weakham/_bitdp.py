@@ -1,219 +1,55 @@
-"""Bitmask subset-DP kernels over shadow adjacency masks.
+"""Bitmask subset DP over shadow adjacency masks.
 
-Three routines, all operating on an int64 array `adj` where bit w of adj[v]
-means v ~ w, with n <= 20 so every subset fits an int64 index:
-
-  * capped_anchored_endpoints(adj, n, cap): dp over all subsets S containing
-    vertex 0; dp[S] = bitmask of endpoints v such that a path starting at 0
-    with vertex set exactly S ends at v. States with popcount(S) >= cap are
-    recorded but not expanded (cap = n means no cap).
-  * free_endpoints(adj, n): same dp but paths may start anywhere
-    (dp[{v}] = {v} for every v). Used for longest-path extraction.
-  * cycle_probe(adj, n, ell): does a cycle of length exactly ell through
-    vertex 0 exist using only these n vertices? Returns (S, closemask) for
-    the first (lowest-S) witness subset, or (0, 0).
-
-Kernels are numba-compiled when available; a pure-Python mirror of each is
-kept both as a fallback (WEAKHAM_PURE=1 or numba missing) and as an
-implementation cross-check in the tests. Callers are expected to enforce the
-n <= 20 capability bound.
+`adj` is an int64 array where bit w of adj[v] means v ~ w; adjacency must be
+symmetric and n <= 20, so every subset fits an int64 index. Callers are
+expected to enforce the n <= 20 capability bound.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-_PURE = os.environ.get("WEAKHAM_PURE", "") == "1"
-if not _PURE:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - environment without numba
-        _PURE = True
-
-__all__ = [
-    "capped_anchored_endpoints",
-    "free_endpoints",
-    "cycle_probe",
-    "using_numba",
-]
+__all__ = ["endpoints", "layer"]
 
 
-def using_numba() -> bool:
-    return not _PURE
+@lru_cache(maxsize=None)
+def _layers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All subsets of n vertices ordered by popcount, ascending within each
+    popcount, plus the offset of each popcount's block."""
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
+    order = np.argsort(pop, kind="stable").astype(np.int32)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(pop, minlength=n + 1))))
+    order.setflags(write=False)
+    return order, offsets
 
 
-# --- pure-Python reference implementations -----------------------------------
+def layer(n: int, k: int) -> np.ndarray:
+    """The subsets of n vertices with popcount k, in ascending order
+    (read-only int32)."""
+    order, offsets = _layers(n)
+    return order[offsets[k] : offsets[k + 1]]
 
 
-def capped_anchored_endpoints_py(adj: np.ndarray, n: int, cap: int) -> np.ndarray:
-    size = 1 << n
-    dp = np.zeros(size, dtype=np.int64)
-    dp[1] = 1
-    adj_l = [int(x) for x in adj]
-    dp_l = dp.tolist()
-    for S in range(1, size):
-        if not S & 1:
-            continue
-        em = dp_l[S]
-        if em == 0 or bin(S).count("1") >= cap:
-            continue
-        rest = em
-        while rest:
-            vbit = rest & (-rest)
-            rest ^= vbit
-            v = vbit.bit_length() - 1
-            targets = adj_l[v] & ~S
-            while targets:
-                wbit = targets & (-targets)
-                targets ^= wbit
-                dp_l[S | wbit] |= wbit
-    return np.array(dp_l, dtype=np.int64)
+def endpoints(adj, n: int, starts: int, cap: int) -> np.ndarray:
+    """dp[S] = bitmask of the vertices v such that some simple path with
+    vertex set exactly S starts in the `starts` mask and ends at v. Only
+    subsets with popcount <= cap are filled; the rest stay 0.
 
-
-def free_endpoints_py(adj: np.ndarray, n: int) -> np.ndarray:
-    size = 1 << n
-    adj_l = [int(x) for x in adj]
-    dp_l = [0] * size
+    Layer k is pulled from layer k-1: w ends a path on T iff w is in T and
+    dp[T ^ {w}] holds a neighbour of w. When T lacks w, T ^ {w} lies in
+    layer k+1, still all zero, so no membership test is needed.
+    """
+    adj = np.asarray(adj, dtype=np.int64)
+    dp = np.zeros(1 << n, dtype=np.int64)
     for v in range(n):
-        dp_l[1 << v] = 1 << v
-    for S in range(1, size):
-        em = dp_l[S]
-        if em == 0:
-            continue
-        rest = em
-        while rest:
-            vbit = rest & (-rest)
-            rest ^= vbit
-            v = vbit.bit_length() - 1
-            targets = adj_l[v] & ~S
-            while targets:
-                wbit = targets & (-targets)
-                targets ^= wbit
-                dp_l[S | wbit] |= wbit
-    return np.array(dp_l, dtype=np.int64)
-
-
-def cycle_probe_py(adj: np.ndarray, n: int, ell: int) -> tuple[int, int]:
-    if ell > n:
-        return 0, 0
-    dp = capped_anchored_endpoints_py(adj, n, ell)
-    a0 = int(adj[0])
-    for S in range(1, 1 << n):
-        if not S & 1:
-            continue
-        if bin(S).count("1") != ell:
-            continue
-        close = int(dp[S]) & a0
-        if close:
-            return S, close
-    return 0, 0
-
-
-# --- numba kernels -------------------------------------------------------------
-
-if not _PURE:
-
-    @njit(cache=True)
-    def _capped_anchored_nb(adj, n, cap):  # pragma: no cover - compiled
-        size = 1 << n
-        dp = np.zeros(size, dtype=np.int64)
-        dp[1] = 1
-        for S in range(1, size):
-            if S & 1 == 0:
-                continue
-            em = dp[S]
-            if em == 0:
-                continue
-            pc = 0
-            t = S
-            while t:
-                t &= t - 1
-                pc += 1
-            if pc >= cap:
-                continue
-            rest = em
-            while rest:
-                vbit = rest & (-rest)
-                rest ^= vbit
-                v = 0
-                vb = vbit
-                while vb > 1:
-                    vb >>= 1
-                    v += 1
-                targets = adj[v] & ~S
-                while targets:
-                    wbit = targets & (-targets)
-                    targets ^= wbit
-                    dp[S | wbit] |= wbit
-        return dp
-
-    @njit(cache=True)
-    def _free_nb(adj, n):  # pragma: no cover - compiled
-        size = 1 << n
-        dp = np.zeros(size, dtype=np.int64)
-        for v in range(n):
+        if starts >> v & 1:
             dp[1 << v] = 1 << v
-        for S in range(1, size):
-            em = dp[S]
-            if em == 0:
-                continue
-            rest = em
-            while rest:
-                vbit = rest & (-rest)
-                rest ^= vbit
-                v = 0
-                vb = vbit
-                while vb > 1:
-                    vb >>= 1
-                    v += 1
-                targets = adj[v] & ~S
-                while targets:
-                    wbit = targets & (-targets)
-                    targets ^= wbit
-                    dp[S | wbit] |= wbit
-        return dp
-
-    @njit(cache=True)
-    def _cycle_probe_nb(adj, n, ell):  # pragma: no cover - compiled
-        if ell > n:
-            return np.int64(0), np.int64(0)
-        dp = _capped_anchored_nb(adj, n, ell)
-        a0 = adj[0]
-        for S in range(1, 1 << n):
-            if S & 1 == 0:
-                continue
-            pc = 0
-            t = S
-            while t:
-                t &= t - 1
-                pc += 1
-            if pc != ell:
-                continue
-            close = dp[S] & a0
-            if close != 0:
-                return np.int64(S), np.int64(close)
-        return np.int64(0), np.int64(0)
-
-
-def capped_anchored_endpoints(adj: np.ndarray, n: int, cap: int) -> np.ndarray:
-    adj = np.ascontiguousarray(adj, dtype=np.int64)
-    if _PURE:
-        return capped_anchored_endpoints_py(adj, n, cap)
-    return _capped_anchored_nb(adj, np.int64(n), np.int64(cap))
-
-
-def free_endpoints(adj: np.ndarray, n: int) -> np.ndarray:
-    adj = np.ascontiguousarray(adj, dtype=np.int64)
-    if _PURE:
-        return free_endpoints_py(adj, n)
-    return _free_nb(adj, np.int64(n))
-
-
-def cycle_probe(adj: np.ndarray, n: int, ell: int) -> tuple[int, int]:
-    adj = np.ascontiguousarray(adj, dtype=np.int64)
-    if _PURE:
-        return cycle_probe_py(adj, n, ell)
-    s, close = _cycle_probe_nb(adj, np.int64(n), np.int64(ell))
-    return int(s), int(close)
+    for k in range(2, min(cap, n) + 1):
+        T = layer(n, k)
+        acc = np.zeros(T.size, dtype=np.int64)
+        for w in range(n):
+            acc |= ((dp[T ^ (1 << w)] & adj[w]) != 0).astype(np.int64) << w
+        dp[T] = acc
+    return dp

@@ -21,7 +21,12 @@ class ScheduleInfeasibleError(InputError):
 
     def __init__(self, failed: str, detail: str = ""):
         self.failed = failed
+        self.detail = detail
         msg = f"schedule infeasible: {failed} violated"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # the default rebuilds from args, i.e. from the formatted message
+        return type(self), (self.failed, self.detail)

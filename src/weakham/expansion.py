@@ -112,39 +112,6 @@ def u_exact(H: Hypergraph, limit: int = U_EXACT_MAX_V1) -> ExpansionReport:
     raise AssertionError("size cap violated: some set of the cap size must fail")
 
 
-def _u_exact_reverse(H: Hypergraph, limit: int = U_EXACT_MAX_V1) -> ExpansionReport:
-    """Independent re-computation of u(H) by a single descending sweep over
-    subset bitmasks (no early exit, no size-ascending structure); test oracle
-    for u_exact."""
-    v1 = sorted(non_isolated_vertices(H))
-    if not v1:
-        return ExpansionReport(u=1, witness=None, exhaustive=True, v1_size=0)
-    if len(v1) > limit:
-        raise CapabilityError(f"|V1| = {len(v1)} exceeds the exhaustive bound {limit}")
-    masks = _neighbor_masks(H)
-    cap = _size_cap(len(v1))
-    k = len(v1)
-    best_size = None
-    best_set: frozenset[int] | None = None
-    for sub in range((1 << k) - 1, 0, -1):
-        s = sub.bit_count()
-        if s > cap or (best_size is not None and s >= best_size):
-            continue
-        amask = 0
-        nmask = 0
-        for i in range(k):
-            if (sub >> i) & 1:
-                amask |= 1 << v1[i]
-                nmask |= masks[v1[i]]
-        if (nmask & ~amask).bit_count() < 2 * s:
-            best_size = s
-            best_set = frozenset(v1[i] for i in range(k) if (sub >> i) & 1)
-    assert best_size is not None, "size cap violated"
-    return ExpansionReport(
-        u=best_size, witness=best_set, exhaustive=True, v1_size=len(v1)
-    )
-
-
 @dataclass(frozen=True)
 class SampledCheck:
     """Outcome of a randomized counterexample hunt: ok means no non-expanding

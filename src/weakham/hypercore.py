@@ -241,34 +241,6 @@ def components(H: Hypergraph) -> tuple[frozenset[int], ...]:
     )
 
 
-def _components_shadow_bfs(H: Hypergraph) -> tuple[frozenset[int], ...]:
-    """Independent re-derivation of components() via BFS on the shadow.
-
-    Exists purely as an oracle for the equivalence test; do not use in hot
-    paths (it materializes the shadow).
-    """
-    sh = H.shadow
-    seen = [False] * H.n
-    out = []
-    for s in range(H.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in sh.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        out.append(frozenset(comp))
-    return tuple(sorted(out, key=min))
-
-
 def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
     """True iff the edges of H lying inside W connect all of W.
 

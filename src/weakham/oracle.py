@@ -76,25 +76,29 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _backtrack(dp, masks: list[int], S: int, v: int) -> list[int]:
+    """The path that dp records with vertex set S ending at v, from its start
+    to v. Each step back takes the lowest endpoint adjacent to v."""
+    seq = [v]
+    S ^= 1 << v
+    while S:
+        cand = int(dp[S]) & masks[v]
+        assert cand != 0, "dp backtrack lost its trail"
+        v = _lowest_bit(cand)
+        seq.append(v)
+        S ^= 1 << v
+    return seq[::-1]
+
+
 def _dp_hamilton_cycle(adj_masks: list[int], n: int) -> list[int] | None:
     """Hamilton cycle on a graph given as bitmask adjacency, as a vertex list
     starting at 0, or None. Requires n >= 3."""
-    dp = _bitdp.capped_anchored_endpoints(adj_masks, n, n)
+    dp = _bitdp.endpoints(adj_masks, n, 1, n)
     full = (1 << n) - 1
     endmask = int(dp[full]) & adj_masks[0] & ~1
     if endmask == 0:
         return None
-    v = _lowest_bit(endmask)
-    seq: list[int] = []
-    S = full
-    while S != 1:
-        seq.append(v)
-        S ^= 1 << v
-        cand = int(dp[S]) & adj_masks[v]
-        assert cand != 0, "dp backtrack lost its trail"
-        v = _lowest_bit(cand)
-    assert v == 0
-    return [0] + seq[::-1]
+    return _backtrack(dp, adj_masks, full, _lowest_bit(endmask))
 
 
 def _direct_hamilton(H: Hypergraph) -> WeakCycle | None:
@@ -227,25 +231,14 @@ def longest_weak_path_exact(H: Hypergraph) -> WeakPath:
             f"got n = {H.n}"
         )
     masks = list(H.shadow.adj_masks)
-    dp = _bitdp.free_endpoints(masks, H.n)
-    best_S, best_pop = 1, 1
-    for S in range(1, 1 << H.n):
-        if int(dp[S]):
-            pop = S.bit_count()
-            if pop > best_pop:
-                best_S, best_pop = S, pop
-    S = best_S
-    v = _lowest_bit(int(dp[S]))
-    seq = []
-    while S:
-        seq.append(v)
-        S ^= 1 << v
-        if not S:
+    dp = _bitdp.endpoints(masks, H.n, (1 << H.n) - 1, H.n)
+    for k in range(H.n, 0, -1):
+        T = _bitdp.layer(H.n, k)
+        found = T[dp[T] != 0]
+        if found.size:
+            S = int(found[0])
             break
-        cand = int(dp[S]) & masks[v]
-        assert cand != 0, "dp backtrack lost its trail"
-        v = _lowest_bit(cand)
-    vseq = seq[::-1]
+    vseq = _backtrack(dp, masks, S, _lowest_bit(int(dp[S])))
     cover = H.cover_index
     edges = []
     for u, w in zip(vseq, vseq[1:]):
@@ -270,19 +263,13 @@ def weak_cycle_of_length(H: Hypergraph, ell: int) -> WeakCycle | None:
     for a in range(H.n - ell + 1):
         k = H.n - a
         sub = [(masks[a + i] >> a) for i in range(k)]
-        S, closemask = _bitdp.cycle_probe(sub, k, ell)
-        if S:
-            dp = _bitdp.capped_anchored_endpoints(sub, k, ell)
-            v = _lowest_bit(closemask)
-            seq = []
-            rem = S
-            while rem != 1:
-                seq.append(v)
-                rem ^= 1 << v
-                cand = int(dp[rem]) & sub[v]
-                assert cand != 0, "dp backtrack lost its trail"
-                v = _lowest_bit(cand)
-            cyc = [a] + [a + w for w in seq[::-1]]
+        dp = _bitdp.endpoints(sub, k, 1, ell)
+        T = _bitdp.layer(k, ell)
+        found = T[(dp[T] & sub[0]) != 0]
+        if found.size:
+            S = int(found[0])
+            path = _backtrack(dp, sub, S, _lowest_bit(int(dp[S]) & sub[0]))
+            cyc = [a + w for w in path]
             witness = lift_cycle(H, cyc)
             check = validate(witness, H)
             assert check.ok, f"probe produced an invalid witness: {check.violation}"

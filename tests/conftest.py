@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from weakham import Hypergraph
 
-# Deterministic, deadline-free profile: the numba kernels JIT-compile on
-# first use (seconds), and the whole suite is meant to be reproducible.
+# Deterministic, deadline-free profile: exact oracles near their size cutoffs
+# can outlast hypothesis's default deadline, and the whole suite is meant to
+# be reproducible.
 settings.register_profile(
     "weakham",
     deadline=None,

@@ -7,6 +7,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakham import (
     CapabilityError,
@@ -23,6 +25,8 @@ from weakham import (
     validate,
     weak_cycle_of_length,
 )
+
+from weakham import _bitdp
 
 from conftest import complete_hypergraph
 
@@ -291,3 +295,35 @@ def _has_cycle_brute(Hs, ell):
             ):
                 return True
     return False
+
+
+# ------------------------------------------------------------ subset dp kernel
+
+
+@st.composite
+def _dp_cases(draw):
+    n = draw(st.integers(1, 7))
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if draw(st.booleans()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    full = (1 << n) - 1
+    starts = draw(st.sampled_from([1, full]) | st.integers(0, full))
+    cap = draw(st.sampled_from([n]) | st.integers(1, n + 1))
+    return n, adj, starts, cap
+
+
+@settings(max_examples=200)
+@given(_dp_cases())
+def test_endpoints_match_path_enumeration(case):
+    n, adj, starts, cap = case
+    want = [0] * (1 << n)
+    for length in range(1, min(cap, n) + 1):
+        for path in permutations(range(n), length):
+            if not starts >> path[0] & 1:
+                continue
+            if all(adj[u] >> w & 1 for u, w in zip(path, path[1:])):
+                S = sum(1 << v for v in path)
+                want[S] |= 1 << path[-1]
+    assert _bitdp.endpoints(adj, n, starts, cap).tolist() == want

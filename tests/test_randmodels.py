@@ -3,7 +3,9 @@ process, threshold parameterizations, and the sprinkling schedule."""
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -308,6 +310,14 @@ def test_schedule_small_n_rejected_on_range():
     with pytest.raises(ScheduleInfeasibleError) as exc:
         sprinkle_schedule(100, 3, 0.0)
     assert exc.value.failed == "p0 in (0,1)"
+
+
+def test_schedule_error_survives_pickle_and_copy():
+    e = ScheduleInfeasibleError("eps < 1/2", "value = 3")
+    for clone in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(clone) is ScheduleInfeasibleError
+        assert str(clone) == str(e) == "schedule infeasible: eps < 1/2 violated (value = 3)"
+        assert clone.failed == "eps < 1/2"
 
 
 def test_schedule_unchecked_fields_at_large_n():
