@@ -8,8 +8,10 @@ weakpaths, not here.
 
 The core move set mirrors the classic rotation-extension loop:
   * grow the path greedily at its end (random choice among candidates);
-  * at a dead end, breadth-first close the path's rotation closure (start
-    vertex fixed), looking for an endpoint that can extend;
+  * at a dead end, breadth-first walk the path's rotation closure (start
+    vertex fixed), testing each endpoint as soon as a rotation reaches it and
+    stopping at the first that can extend; only a failing closure is walked
+    to the end;
   * if an endpoint is adjacent to the start, close a cycle: success if it
     spans the target, otherwise splice in an outside neighbor (possible
     whenever the target is connected) and keep growing;
@@ -49,34 +51,49 @@ def _grow(adj, path, pmask, target_mask, gen):
         pmask |= 1 << x
 
 
+def _endpoint_hit(adj, adj_masks, P, free, v0, close, rotations):
+    """Success test for the endpoint of P: "extend" through its first
+    neighbor in `free` (adjacency order), else — when `close` — "cycle" if it
+    is adjacent to v0, else None."""
+    u = P[-1]
+    m = adj_masks[u]
+    if m & free:
+        x = next(x for x in adj[u] if (free >> x) & 1)
+        return ClosureResult("extend", path=P + [x], rotations=rotations)
+    if close and (m >> v0) & 1:
+        return ClosureResult("cycle", path=P, rotations=rotations)
+    return None
+
+
 def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf):
     """BFS over the rotation closure of `path` with path[0] fixed.
 
-    Stops early on the first endpoint that can extend ("extend", returns the
-    extended path) or — when `close` — on the first endpoint adjacent to
-    path[0] ("cycle", returns the closing path). Otherwise returns "stall"
-    with one representative path per discovered endpoint, or "budget" when
-    the rotation allowance runs out. `posbuf` is a reusable int list of size
-    >= the graph order (filled/cleared per representative).
+    Every endpoint is tested once, when a rotation first reaches it (the
+    root's own endpoint before the BFS starts): an endpoint with a target
+    neighbor off the path ends the scan with "extend" (the rotated path plus
+    the first such neighbor in adjacency order); otherwise, when `close` and
+    the path has >= 3 vertices, an endpoint adjacent to path[0] ends it with
+    "cycle" (the closing path). `rotations` counts the rotations performed up
+    to that point. If no endpoint passes, returns "stall" with one
+    representative path per endpoint of the full closure, or "budget" when
+    the rotation allowance runs out first. `posbuf` is a reusable int list
+    of size >= the graph order (filled/cleared per representative).
     """
     v0 = path[0]
     h = len(path) - 1
+    free = target_mask & ~pmask
+    close = close and h >= 2
     reps = {path[-1]: path}
+    result = _endpoint_hit(adj, adj_masks, path, free, v0, close, 0)
+    if result is not None or h < 2:
+        return result or ClosureResult("stall", reps=reps, rotations=0)
     queue = deque((path,))
     rotations = 0
-    while queue:
+    while queue and result is None:
         P = queue.popleft()
-        w = P[-1]
-        for x in adj[w]:
-            if (target_mask >> x) & 1 and not (pmask >> x) & 1:
-                return ClosureResult("extend", path=P + [x], rotations=rotations)
-        if close and h >= 2 and (adj_masks[w] >> v0) & 1:
-            return ClosureResult("cycle", path=P, rotations=rotations)
-        if h < 2:
-            continue
         for idx, v in enumerate(P):
             posbuf[v] = idx
-        for x in adj[w]:
+        for x in adj[P[-1]]:
             if not (pmask >> x) & 1:
                 continue
             i = posbuf[x]
@@ -84,26 +101,30 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf
                 u = P[i + 1]
                 if u not in reps:
                     if rotations >= budget:
-                        for v in P:
-                            posbuf[v] = -1
-                        return ClosureResult("budget", reps=reps, rotations=rotations)
+                        result = ClosureResult("budget", reps=reps, rotations=rotations)
+                        break
                     rotations += 1
                     newP = P[: i + 1] + P[:i:-1]
+                    result = _endpoint_hit(adj, adj_masks, newP, free, v0, close, rotations)
+                    if result is not None:
+                        break
                     reps[u] = newP
                     queue.append(newP)
         for v in P:
             posbuf[v] = -1
-    return ClosureResult("stall", reps=reps, rotations=rotations)
+    return result or ClosureResult("stall", reps=reps, rotations=rotations)
 
 
 def spanning_cycle_search(adj, adj_masks, target, gen, max_rotations, max_restarts=4):
     """Search for a cycle through exactly the vertices of `target`.
 
     Returns (cycle_vertices | None, best_path_vertices, rotations_used,
-    exhausted). A returned cycle is a vertex list whose consecutive members
-    (and last->first) are adjacent and whose set equals target. When target
-    is connected, a stalled non-spanning cycle can always be spliced open, so
-    failures come only from rotation-budget or restart exhaustion.
+    restarts_used, exhausted); restarts_used counts the random starts after
+    the first, at most max_restarts. A returned cycle is a vertex list whose
+    consecutive members (and last->first) are adjacent and whose set equals
+    target. When target is connected, a stalled non-spanning cycle can
+    always be spliced open, so failures come only from rotation-budget or
+    restart exhaustion.
     """
     n = len(adj)
     posbuf = [-1] * n
@@ -113,11 +134,13 @@ def spanning_cycle_search(adj, adj_masks, target, gen, max_rotations, max_restar
         target_mask |= 1 << v
     best: list[int] = []
     rot_used = 0
+    restarts = 0
     exhausted = False
-    for _ in range(max_restarts + 1):
+    for attempt in range(max_restarts + 1):
         if rot_used >= max_rotations:
             exhausted = True
             break
+        restarts = attempt
         start = t_list[int(gen.integers(len(t_list)))]
         path = [start]
         pmask = 1 << start
@@ -142,7 +165,7 @@ def spanning_cycle_search(adj, adj_masks, target, gen, max_rotations, max_restar
                 if pmask == target_mask:
                     if len(cyc) > len(best):
                         best = list(cyc)
-                    return cyc, best, rot_used, False
+                    return cyc, best, rot_used, restarts, False
                 spliced = False
                 for idx, v in enumerate(cyc):
                     ext = [
@@ -171,7 +194,7 @@ def spanning_cycle_search(adj, adj_masks, target, gen, max_rotations, max_restar
             break
         if exhausted:
             break
-    return None, best, rot_used, exhausted
+    return None, best, rot_used, restarts, exhausted
 
 
 def stalled_longest_path(adj, adj_masks, allowed, gen, max_rotations, attempts=1):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, ScheduleInfeasibleError
+from .errors import CapabilityError, InputError, ScheduleInfeasibleError
 from .hypercore import Hypergraph
 
 __all__ = [
@@ -145,12 +145,22 @@ def limiting_probability(c: float) -> float:
 # --- distinct d-set sampling core --------------------------------------------
 
 _DENSE_ENUM_LIMIT = 200_000
+_ENUM_LIMIT = 2_000_000
+
+
+def _all_dsets(n: int, d: int) -> np.ndarray:
+    """All d-subsets of [0,n) as a lexicographically ordered (C(n,d), d) array.
+    Raises CapabilityError, before allocating, above _ENUM_LIMIT d-sets."""
+    total = math.comb(n, d)
+    if total > _ENUM_LIMIT:
+        raise CapabilityError(
+            f"C({n},{d}) = {total} d-sets exceed the in-memory enumeration limit {_ENUM_LIMIT}"
+        )
+    return _enumerate_dsets(n, d)
 
 
 @lru_cache(maxsize=8)
-def _all_dsets(n: int, d: int) -> np.ndarray:
-    """All d-subsets of [0,n) as a lexicographically ordered (C(n,d), d) array.
-    Only used when C(n,d) is small enough to enumerate."""
+def _enumerate_dsets(n: int, d: int) -> np.ndarray:
     from itertools import combinations
 
     total = math.comb(n, d)
@@ -173,7 +183,9 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
     """k distinct d-sets, uniform without replacement, as a (k, d) array in
     draw order. Dense regime enumerates and index-samples; sparse regime
     rejection-samples sorted rows and dedups by first occurrence (which is
-    exactly sequential without-replacement sampling)."""
+    exactly sequential without-replacement sampling). Raises CapabilityError
+    when the dense regime would enumerate more than _ENUM_LIMIT d-sets, or
+    the sparse regime's int64 row codes would overflow."""
     total = math.comb(n, d)
     if k < 0 or k > total:
         raise InputError(f"cannot draw {k} distinct d-sets from {total}")
@@ -184,7 +196,7 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
         idx = gen.choice(total, size=k, replace=False)
         return allsets[idx]
     if n**d >= 2**62:
-        raise InputError(f"n={n}, d={d} too large for packed sampling")
+        raise CapabilityError(f"n={n}, d={d} too large for packed sampling")
     parts: list[np.ndarray] = []
     batch = int(1.25 * k) + 32
     while True:
@@ -258,23 +270,16 @@ def union_overlay(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
     return Hypergraph(n=H1.n, d=H1.d, edges=tuple(merged))
 
 
-_PROCESS_ENUM_LIMIT = 2_000_000
-
-
 def edge_process(n: int, d: int, rng: SeededRng) -> tuple[tuple[int, ...], ...]:
     """Uniformly random permutation of all C(n,d) potential edges.
 
     The length-m prefix is distributed as G(n,m); scanning the stream and
-    recording hitting times is the edge-process experiment.
+    recording hitting times is the edge-process experiment. Raises
+    CapabilityError when C(n,d) is above the enumeration limit.
     """
-    total = math.comb(n, d)
-    if total > _PROCESS_ENUM_LIMIT:
-        raise InputError(
-            f"C({n},{d}) = {total} exceeds the in-memory process limit {_PROCESS_ENUM_LIMIT}"
-        )
     gen = rng.generator()
     allsets = _all_dsets(n, d)
-    perm = gen.permutation(total)
+    perm = gen.permutation(len(allsets))
     return tuple(tuple(int(v) for v in allsets[i]) for i in perm)
 
 

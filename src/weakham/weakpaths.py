@@ -358,7 +358,9 @@ class SearchOutcome:
     """Result of rotation_extension_search: a validated spanning weak cycle,
     or the best weak path found. `impossible` carries a certified reason when
     no spanning cycle can exist (fewer than 3 non-isolated vertices, or V1
-    disconnected); `exhausted` flags rotation-budget exhaustion."""
+    disconnected); `exhausted` flags rotation-budget exhaustion. `restarts`
+    counts the random starts after the first, so a search that gave up
+    without `exhausted` ran out of restarts instead."""
 
     cycle: WeakCycle | None
     path: WeakPath | None
@@ -366,6 +368,7 @@ class SearchOutcome:
     exhausted: bool
     rotations: int
     impossible: str | None = None
+    restarts: int = 0
 
 
 def default_rotation_budget(n: int) -> int:
@@ -435,18 +438,20 @@ def rotation_extension_search(
             impossible="non-isolated vertices are disconnected",
         )
     shadow = H.shadow
-    cyc, best, rots, exhausted = _engine.spanning_cycle_search(
+    cyc, best, rots, restarts, exhausted = _engine.spanning_cycle_search(
         shadow.adj, shadow.adj_masks, list(v1), gen, budget
     )
     if cyc is not None:
         cycle = lift_cycle(H, cyc)
         assert validate(cycle, H).ok and cycle.spanned == frozenset(v1)
         return SearchOutcome(
-            cycle=cycle, path=None, complete=True, exhausted=False, rotations=rots
+            cycle=cycle, path=None, complete=True, exhausted=False, rotations=rots,
+            restarts=restarts,
         )
     path = lift_path(H, best) if best else None
     return SearchOutcome(
-        cycle=None, path=path, complete=False, exhausted=exhausted, rotations=rots
+        cycle=None, path=path, complete=False, exhausted=exhausted, rotations=rots,
+        restarts=restarts,
     )
 
 

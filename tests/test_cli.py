@@ -85,6 +85,19 @@ def test_gen_rejects_bad_flags(capsys):
     capsys.readouterr()
 
 
+def test_gen_beyond_sampler_capability_is_exit_2(tmp_path, capsys):
+    out = os.fspath(tmp_path / "h.txt")
+    rc = run_cli("gen", "--n", "231", "--d", "3", "--model", "gnp",
+                 "--p", "0.9", "--out", out)
+    assert rc == 2
+    assert "enumeration limit" in capsys.readouterr().err
+    rc = run_cli("gen", "--n", str(2**21), "--d", "3", "--model", "gnm",
+                 "--m", "5", "--out", out)
+    assert rc == 2
+    assert "packed sampling" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------- check
 
 

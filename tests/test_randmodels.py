@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from weakham import (
+    CapabilityError,
     GnmParams,
     GnpParams,
     Hypergraph,
@@ -34,6 +35,7 @@ from weakham import (
     sprinkle_schedule,
     union_overlay,
 )
+from weakham import randmodels
 
 from conftest import complete_hypergraph
 
@@ -245,8 +247,36 @@ def test_process_full_prefix_is_complete():
 
 
 def test_process_overflow_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(CapabilityError, match="enumeration limit"):
         edge_process(10**6, 3, SeededRng(1, 0))
+
+
+# ------------------------------------------------------------ capability edges
+
+
+def test_dense_branch_over_enumeration_limit_is_capability_error():
+    # C(231,3) = 2,023,385 is just past the limit and p = 0.9 takes the
+    # enumerating branch (2k >= C(n,d)); the guard fires before any array.
+    with pytest.raises(CapabilityError, match="enumeration limit"):
+        sample_gnp(GnpParams(231, 3, 0.9), SeededRng(1, 0))
+    with pytest.raises(CapabilityError, match="enumeration limit"):
+        sampled_covered_vertices(GnpParams(231, 3, 0.9), SeededRng(1, 0))
+
+
+def test_dense_branch_limit_boundary(monkeypatch):
+    monkeypatch.setattr(randmodels, "_ENUM_LIMIT", 10)
+    assert sample_gnm(GnmParams(5, 3, 10), SeededRng(1, 0)) == complete_hypergraph(5, 3)
+    assert len(edge_process(5, 3, SeededRng(1, 0))) == 10
+    with pytest.raises(CapabilityError):
+        sample_gnm(GnmParams(6, 3, 20), SeededRng(1, 0))
+    with pytest.raises(CapabilityError):
+        edge_process(6, 3, SeededRng(1, 0))
+
+
+def test_packing_bound_is_capability_error():
+    # n**d = 2**63: sparse rejection sampling cannot pack rows into int64
+    with pytest.raises(CapabilityError, match="packed sampling"):
+        sample_gnm(GnmParams(2**21, 3, 5), SeededRng(1, 0))
 
 
 def test_process_first_edge_uniform():

@@ -412,9 +412,21 @@ def test_search_complete_graphs_over_sizes():
     for n in (4, 7, 10):
         Hc = complete_hypergraph(n, 3)
         out = rotation_extension_search(Hc, rng=SeededRng(n))
-        assert out.complete
+        assert out.complete and out.restarts == 0
         assert out.cycle.length == n
         assert validate(out.cycle, Hc, strict_edges=False).ok
+
+
+def test_search_reports_spent_restarts():
+    # triangles chained at cut vertices: connected, but no spanning cycle, so
+    # the search gives up on restarts rather than on its rotation budget
+    chain = H(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    out = rotation_extension_search(chain, rng=SeededRng(1))
+    assert not out.complete and out.impossible is None
+    assert not out.exhausted and out.restarts == 4
+    for seed in range(20):
+        out = rotation_extension_search(_gnp(20, 3, 0.02, seed), budget=200, rng=SeededRng(seed))
+        assert 0 <= out.restarts <= 4
 
 
 def test_search_deterministic_under_seed():
