@@ -12,11 +12,15 @@ The core move set mirrors the classic rotation-extension loop:
     vertex fixed), testing each endpoint as soon as a rotation reaches it and
     stopping at the first that can extend; only a failing closure is walked
     to the end;
-  * if an endpoint is adjacent to the start, close a cycle: success if it
-    spans the target, otherwise splice in an outside neighbor (possible
-    whenever the target is connected) and keep growing;
-  * reverse the path once before giving up an orientation, restart a few
-    times from random starts, all under a global rotation budget.
+  * when cycles are sought, an endpoint adjacent to the start closes one:
+    success if it spans the target, otherwise splice in an outside neighbor
+    (possible whenever the target is connected) and keep growing;
+  * at a stall, scan the far-side closure of every closure endpoint (its
+    reversed representative, smallest endpoint first) before giving up the
+    start; restart a few times from random starts, all under one global
+    rotation budget.
+
+One driver, `search`, serves both uses; `close` is its only mode switch.
 
 Every structural step preserves the invariant "path vertices distinct,
 consecutive vertices adjacent", so results need no post-hoc repair.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 
-__all__ = ["ClosureResult", "closure_scan", "spanning_cycle_search", "stalled_longest_path"]
+__all__ = ["ClosureResult", "closure_scan", "search"]
 
 
 class ClosureResult:
@@ -115,152 +119,87 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf
     return result or ClosureResult("stall", reps=reps, rotations=rotations)
 
 
-def spanning_cycle_search(adj, adj_masks, target, gen, max_rotations, max_restarts=4):
-    """Search for a cycle through exactly the vertices of `target`.
+def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
+    """Rotation-extension search over the vertices of `target`: up to
+    `attempts` random starts under one allowance of `max_rotations`.
 
-    Returns (cycle_vertices | None, best_path_vertices, rotations_used,
-    restarts_used, exhausted); restarts_used counts the random starts after
-    the first, at most max_restarts. A returned cycle is a vertex list whose
-    consecutive members (and last->first) are adjacent and whose set equals
-    target. When target is connected, a stalled non-spanning cycle can
-    always be spliced open, so failures come only from rotation-budget or
-    restart exhaustion.
+    Each attempt grows a path and, at every dead end, scans its rotation
+    closure (start fixed), resuming growth from the first endpoint that can
+    extend. At a stall, the reversed representative of each closure endpoint
+    is scanned in turn, smallest endpoint first (one scan sweeps the whole
+    far-side closure of that endpoint; the reversed path is among them),
+    and the attempt ends once every such orientation has stalled too.
+
+    With `close`, an endpoint adjacent to the start closes a cycle: one
+    spanning the target is returned at once, any other is spliced open
+    through an outside neighbor (possible whenever the target is connected).
+    Without it, a stalled path that spans the target ends the attempt.
+
+    Returns (cycle | None, path, rotations_used, restarts_used, exhausted).
+    `path` is the longest stalled orientation (the latest within an
+    attempt, the earliest attempt on ties); it has the saturation property:
+    every endpoint of its rotation closure (start fixed) has all its target
+    neighbors inside V(path). When the allowance ran out before any stall,
+    it is the last grown path instead, with no such guarantee.
+    `restarts_used` counts the starts after the first. `exhausted` says the
+    allowance ran out before the search had its answer: a spanning cycle
+    with `close`, a stalled path without.
     """
-    n = len(adj)
-    posbuf = [-1] * n
+    posbuf = [-1] * len(adj)
     t_list = sorted(target)
     target_mask = 0
     for v in t_list:
         target_mask |= 1 << v
-    best: list[int] = []
-    rot_used = 0
-    restarts = 0
-    exhausted = False
-    for attempt in range(max_restarts + 1):
-        if rot_used >= max_rotations:
-            exhausted = True
+    rot_used = restarts = 0
+    best = None
+    out_of_budget = False
+    for attempt in range(max(1, attempts)):
+        if attempt and rot_used >= max_rotations:
+            out_of_budget = True
             break
         restarts = attempt
         start = t_list[int(gen.integers(len(t_list)))]
         path = [start]
-        pmask = 1 << start
-        pmask = _grow(adj, path, pmask, target_mask, gen)
-        tried_reverse = False
+        pmask = _grow(adj, path, 1 << start, target_mask, gen)
+        pending = stalled = None
         while True:
-            if len(path) > len(best):
-                best = list(path)
             res = closure_scan(
                 adj, adj_masks, path, pmask, target_mask,
-                max_rotations - rot_used, close=True, posbuf=posbuf,
+                max_rotations - rot_used, close, posbuf,
             )
             rot_used += res.rotations
-            if res.kind == "extend":
-                path = res.path
-                pmask |= 1 << path[-1]
-                pmask = _grow(adj, path, pmask, target_mask, gen)
-                tried_reverse = False
-                continue
-            if res.kind == "cycle":
-                cyc = res.path
-                if pmask == target_mask:
-                    if len(cyc) > len(best):
-                        best = list(cyc)
-                    return cyc, best, rot_used, restarts, False
-                spliced = False
-                for idx, v in enumerate(cyc):
-                    ext = [
-                        x for x in adj[v]
-                        if (target_mask >> x) & 1 and not (pmask >> x) & 1
-                    ]
-                    if ext:
-                        x = ext[0]
-                        path = cyc[idx + 1 :] + cyc[: idx + 1] + [x]
-                        pmask |= 1 << x
-                        pmask = _grow(adj, path, pmask, target_mask, gen)
-                        tried_reverse = False
-                        spliced = True
-                        break
-                if spliced:
-                    continue
-                break  # cycle's component exhausted: target disconnected
+            if res.kind == "budget":
+                out_of_budget = True
+                break
             if res.kind == "stall":
-                if not tried_reverse and len(path) >= 2:
-                    tried_reverse = True
-                    path = path[::-1]
-                    continue
-                break  # genuine stall: restart
-            # budget
-            exhausted = True
-            break
-        if exhausted:
-            break
-    return None, best, rot_used, restarts, exhausted
-
-
-def stalled_longest_path(adj, adj_masks, allowed, gen, max_rotations, attempts=1):
-    """Grow-and-rotate until no closure endpoint can extend; return the
-    longest stalled path over `attempts` random starts.
-
-    Stalls are escaped two-sidedly: when the closure of the current
-    orientation stalls, the reversed representative of each closure endpoint
-    is scanned in turn (one scan sweeps the entire far-side closure of that
-    endpoint), resuming growth from the first orientation that can extend.
-    The returned path P is the most recent stalled orientation, so it has
-    the saturation property: every endpoint of the rotation closure of P
-    (start fixed) has all its neighbors inside V(P).
-    Returns (path_vertices, rotations_used, exhausted).
-    """
-    n = len(adj)
-    posbuf = [-1] * n
-    a_list = sorted(allowed)
-    target_mask = 0
-    for v in a_list:
-        target_mask |= 1 << v
-    rot_used = 0
-    best: list[int] | None = None
-    path = [a_list[0]]
-    out_of_budget = False
-    for k in range(max(1, attempts)):
-        if k > 0 and rot_used >= max_rotations:
-            break
-        start = a_list[int(gen.integers(len(a_list)))]
-        path = [start]
-        pmask = 1 << start
-        pmask = _grow(adj, path, pmask, target_mask, gen)
-        pending: list[list[int]] | None = None
-        stalled: list[int] | None = None
-        while True:
-            res = closure_scan(
-                adj, adj_masks, path, pmask, target_mask,
-                max_rotations - rot_used, close=False, posbuf=posbuf,
-            )
-            rot_used += res.rotations
-            if res.kind == "extend":
-                path = res.path
-                pmask |= 1 << path[-1]
-                pmask = _grow(adj, path, pmask, target_mask, gen)
-                pending = None
+                stalled = path
+                if not close and pmask == target_mask:
+                    break  # a spanning path has nothing left to extend into
+                if pending is None:
+                    # smallest endpoint is scanned first (popped from the tail);
+                    # each representative is reversed only when its turn comes
+                    reps = res.reps
+                    pending = sorted(reps, reverse=True)
+                if not pending:
+                    break  # every far-side orientation stalled as well
+                path = reps.pop(pending.pop())[::-1]
+                res = None  # free a far-side closure before the next is built
                 continue
-            if res.kind != "stall":
-                break  # budget
-            stalled = path
-            if pmask == target_mask:
-                break  # path already spans the target: no extension exists
-            if pending is None:
-                # smallest endpoint is tried first (popped from the tail)
-                pending = [res.reps[u][::-1] for u in sorted(res.reps, reverse=True)]
-            if pending:
-                path = pending.pop()
-                continue
-            break  # every far-side orientation stalled as well
+            path = res.path
+            if res.kind == "cycle":
+                if pmask == target_mask:
+                    return path, path, rot_used, restarts, False
+                free = target_mask & ~pmask
+                idx = next((i for i, v in enumerate(path) if adj_masks[v] & free), None)
+                if idx is None:
+                    break  # the cycle's component is used up: target disconnected
+                x = next(x for x in adj[path[idx]] if (free >> x) & 1)
+                path = path[idx + 1 :] + path[: idx + 1] + [x]
+            pmask = _grow(adj, path, pmask | 1 << path[-1], target_mask, gen)
+            pending = None
         if stalled is not None and (best is None or len(stalled) > len(best)):
             best = stalled
-        if res.kind == "budget":
-            out_of_budget = True
+        if out_of_budget:
             break
-    exhausted = best is None and out_of_budget
-    if best is None:
-        # budget ran out before any stall: fall back to the last grown path
-        # (not saturation-guaranteed; callers check `exhausted`).
-        best = path
-    return best, rot_used, exhausted
+    exhausted = out_of_budget and (close or best is None)
+    return None, best or path, rot_used, restarts, exhausted

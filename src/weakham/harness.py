@@ -14,10 +14,15 @@ serialized with repr(), so a config + seed pair yields byte-identical CSV
 regardless of worker count. Timings are kept on in-memory records only —
 never in tables.
 
-Verdict policy: heuristic search failures at sizes the exact oracle cannot
-reach are reported as "unknown", a separate column that is never folded into
-the "no" count; point estimates use decided trials only and unknown-rates
-are reported alongside.
+Verdict policy: a "no" is either certified (an isolated vertex, or a reason
+from rotation_extension_search: too few or disconnected non-isolated
+vertices, or shadow edges forced at degree-2 vertices that rule out a
+spanning cycle) or decided by the exact oracle at or below its cutoff.
+Heuristic search failures at sizes the exact oracle cannot reach are
+reported as "unknown", a separate column that is never folded into the "no"
+count, so an unknown means the search ran out of rotation budget or restarts
+on a graph with no such certificate; point estimates use decided trials
+only and unknown-rates are reported alongside.
 """
 
 from __future__ import annotations

@@ -211,6 +211,26 @@ def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
     return Hypergraph(n=H.n, d=H.d, edges=kept)
 
 
+def _union_find(n: int, groups: Iterable[Sequence[int]]):
+    """Merge the members of each group (ints in range(n)); returns `find`,
+    which maps an element to its root, equal for joined elements."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in groups:
+        r = find(g[0])
+        for v in g[1:]:
+            rv = find(v)
+            if rv != r:
+                parent[rv] = r
+    return find
+
+
 def components(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Connected components of the shadow graph, isolated vertices as
     singletons, ordered by smallest member.
@@ -219,20 +239,7 @@ def components(H: Hypergraph) -> tuple[frozenset[int], ...]:
     vertices), which is equivalent to shadow BFS; the equivalence is covered
     by tests.
     """
-    parent = list(range(H.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in H.edges:
-        r = find(e[0])
-        for v in e[1:]:
-            rv = find(v)
-            if rv != r:
-                parent[rv] = r
+    find = _union_find(H.n, H.edges)
     groups: dict[int, set[int]] = {}
     for v in range(H.n):
         groups.setdefault(find(v), set()).add(v)
@@ -252,25 +259,10 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
         _check_vertex(H, v)
     if len(ws) <= 1:
         return True
-    pos = {v: i for i, v in enumerate(ws)}
-    parent = list(range(len(ws)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     wset = set(ws)
-    for e in H.edges:
-        if all(v in wset for v in e):
-            r = find(pos[e[0]])
-            for v in e[1:]:
-                rv = find(pos[v])
-                if rv != r:
-                    parent[rv] = r
-    root = find(0)
-    return all(find(i) == root for i in range(len(ws)))
+    find = _union_find(H.n, (e for e in H.edges if wset.issuperset(e)))
+    root = find(ws[0])
+    return all(find(v) == root for v in ws)
 
 
 # --- text format ------------------------------------------------------------

@@ -29,7 +29,7 @@ from .hypercore import (
     isolated_vertices,
     non_isolated_vertices,
 )
-from .weakpaths import WeakCycle, WeakPath, lift_cycle, validate, weak_to_json
+from .weakpaths import WeakCycle, WeakPath, lift_cycle, lift_path, validate, weak_to_json
 
 __all__ = [
     "OracleVerdict",
@@ -238,12 +238,7 @@ def longest_weak_path_exact(H: Hypergraph) -> WeakPath:
         if found.size:
             S = int(found[0])
             break
-    vseq = _backtrack(dp, masks, S, _lowest_bit(int(dp[S])))
-    cover = H.cover_index
-    edges = []
-    for u, w in zip(vseq, vseq[1:]):
-        edges.append(cover[(u, w) if u < w else (w, u)])
-    path = WeakPath(tuple(vseq), tuple(edges))
+    path = lift_path(H, _backtrack(dp, masks, S, _lowest_bit(int(dp[S]))))
     assert validate(path, H).ok
     return path
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -35,6 +35,7 @@ from . import _engine
 from .errors import CapabilityError, InputError
 from .hypercore import (
     Hypergraph,
+    _union_find,
     is_connected_on,
     neighbors,
     non_isolated_vertices,
@@ -356,11 +357,14 @@ def booster_edges(H: Hypergraph, P: WeakPath) -> frozenset[tuple[int, ...]]:
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of rotation_extension_search: a validated spanning weak cycle,
-    or the best weak path found. `impossible` carries a certified reason when
-    no spanning cycle can exist (fewer than 3 non-isolated vertices, or V1
-    disconnected); `exhausted` flags rotation-budget exhaustion. `restarts`
-    counts the random starts after the first, so a search that gave up
-    without `exhausted` ran out of restarts instead."""
+    or, after a failed search, `path`: the longest stalled orientation, or
+    the last grown path when the budget ran out before any stall.
+    `impossible` carries a certified reason when no spanning cycle can exist
+    (fewer than 3 non-isolated vertices, V1 disconnected, or the shadow edges
+    forced at vertices of shadow degree 2 rule one out); `exhausted` flags
+    rotation-budget exhaustion. `restarts` counts the random starts after
+    the first, so a search that gave up without `exhausted` ran out of
+    restarts instead."""
 
     cycle: WeakCycle | None
     path: WeakPath | None
@@ -410,6 +414,38 @@ def lift_cycle(H: Hypergraph, vseq) -> WeakCycle:
     return WeakCycle(tuple(vseq), tuple(edges[1:] + edges[:1]))
 
 
+def _forced_edge_obstruction(H: Hypergraph, v1) -> str | None:
+    """A reason no cycle spans V1, read off the shadow degrees, or None.
+
+    A spanning cycle uses exactly two shadow edges at each vertex of V1, so a
+    vertex with exactly two shadow neighbors forces both edges into it. No
+    spanning cycle exists if some vertex has fewer than two neighbors, lies
+    on more than two forced edges, or if the forced edges close a cycle that
+    misses part of V1. Linear in |V1|.
+    """
+    adj = H.shadow.adj
+    forced = set()
+    for v in v1:
+        k = len(adj[v])
+        if k < 2:
+            return f"vertex {v} has only {k} shadow neighbor (a spanning cycle needs 2)"
+        if k == 2:
+            forced.update((v, w) if v < w else (w, v) for w in adj[v])
+    load = Counter(v for e in forced for v in e)
+    over = [v for v, k in load.items() if k > 2]
+    if over:
+        v = min(over)
+        return f"vertex {v} lies on {load[v]} forced shadow edges (a spanning cycle uses 2)"
+    # forced edges now form paths and cycles; a part with as many edges as
+    # vertices is a cycle
+    find = _union_find(H.n, forced)
+    size = Counter(map(find, v1))
+    for r, k in Counter(find(u) for u, _ in forced).items():
+        if k == size[r] < len(v1):
+            return f"forced shadow edges close a cycle through {k} of {len(v1)} non-isolated vertices"
+    return None
+
+
 def rotation_extension_search(
     H: Hypergraph,
     budget: int | None = None,
@@ -418,28 +454,32 @@ def rotation_extension_search(
     """Heuristic search for a weak cycle spanning the non-isolated vertices.
 
     Grows a path greedily on the shadow, closes rotation closures at stalls,
-    splices non-spanning cycles open through the connectivity of V1, and
-    restarts within a global rotation budget. Any returned cycle is validated
-    and spans V1(H) exactly — the search can fail to find, but never returns
-    a false positive. Deterministic for a fixed (H, budget, rng seed).
+    splices non-spanning cycles open through the connectivity of V1, sweeps
+    the far-side closures at a stall, and restarts within a global rotation
+    budget. Before any rotation, a "no" is certified when V1 is too small,
+    disconnected, or ruled out by forced shadow edges (`impossible`). Any
+    returned cycle is validated and spans V1(H) exactly — the search can fail
+    to find, but never returns a false positive. Deterministic for a fixed
+    (H, budget, rng seed).
     """
     if budget is None:
         budget = default_rotation_budget(H.n)
     gen = (rng or SeededRng(0, 0)).generator()
     v1 = non_isolated_vertices(H)
     if len(v1) < 3:
+        reason = f"only {len(v1)} non-isolated vertices (cycles need 3)"
+    elif not is_connected_on(H, v1):
+        reason = "non-isolated vertices are disconnected"
+    else:
+        reason = _forced_edge_obstruction(H, v1)
+    if reason is not None:
         return SearchOutcome(
             cycle=None, path=None, complete=False, exhausted=False, rotations=0,
-            impossible=f"only {len(v1)} non-isolated vertices (cycles need 3)",
-        )
-    if not is_connected_on(H, v1):
-        return SearchOutcome(
-            cycle=None, path=None, complete=False, exhausted=False, rotations=0,
-            impossible="non-isolated vertices are disconnected",
+            impossible=reason,
         )
     shadow = H.shadow
-    cyc, best, rots, restarts, exhausted = _engine.spanning_cycle_search(
-        shadow.adj, shadow.adj_masks, list(v1), gen, budget
+    cyc, best, rots, restarts, exhausted = _engine.search(
+        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts=5, close=True
     )
     if cyc is not None:
         cycle = lift_cycle(H, cyc)
@@ -448,10 +488,9 @@ def rotation_extension_search(
             cycle=cycle, path=None, complete=True, exhausted=False, rotations=rots,
             restarts=restarts,
         )
-    path = lift_path(H, best) if best else None
     return SearchOutcome(
-        cycle=None, path=path, complete=False, exhausted=exhausted, rotations=rots,
-        restarts=restarts,
+        cycle=None, path=lift_path(H, best), complete=False, exhausted=exhausted,
+        rotations=rots, restarts=restarts,
     )
 
 
@@ -471,8 +510,8 @@ def stalled_path(
         budget = default_rotation_budget(H.n)
     gen = (rng or SeededRng(0, 0)).generator()
     shadow = H.shadow
-    best, _, exhausted = _engine.stalled_longest_path(
-        shadow.adj, shadow.adj_masks, list(v1), gen, budget, attempts=attempts
+    _, best, _, _, exhausted = _engine.search(
+        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts, close=False
     )
     if exhausted:
         raise CapabilityError("rotation budget exhausted before any stalled path")
@@ -548,8 +587,8 @@ def _projection_longest(proj: ProjectionGraph, gen, budget: int) -> list[int]:
     non_isolated = [k for k, nbrs in enumerate(local_adj) if nbrs]
     if not non_isolated:
         return [proj.vertices[0]] if proj.vertices else []
-    best, _, _ = _engine.stalled_longest_path(
-        local_adj, masks, non_isolated, gen, budget, attempts=3
+    _, best, _, _, _ = _engine.search(
+        local_adj, masks, non_isolated, gen, budget, attempts=3, close=False
     )
     return [proj.vertices[k] for k in best]
 

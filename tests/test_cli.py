@@ -139,6 +139,18 @@ def test_check_heuristic_isolated_vertex(tmp_path, capsys):
     assert "is isolated" in doc["note"]
 
 
+def test_check_heuristic_forced_edges_certify_no(tmp_path, capsys):
+    path = os.fspath(tmp_path / "chain.txt")
+    dump_hypergraph(Hypergraph.from_edges(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)]), path)
+    rc = run_cli("check", "--in", path, "--mode", "heuristic")
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert '"answer":"no"' in out
+    doc = json.loads(out)
+    assert doc["note"] == "vertex 2 lies on 3 forced shadow edges (a spanning cycle uses 2)"
+    assert doc["rotations"] == 0
+
+
 def test_check_heuristic_big_instance_is_answerable(big_file, capsys):
     # the heuristic path has no size cap, unlike exact mode
     rc = run_cli("check", "--in", big_file, "--mode", "heuristic", "--seed", "1")

@@ -1,6 +1,8 @@
 """The rotation-extension engine on plain graphs: closure scans against an
-independent breadth-first walk over rotations, path invariants of every
-returned path, rotation budgets, restart counts, and seed determinism."""
+independent breadth-first walk over rotations, and the one search driver in
+both modes (cycles sought or not): path invariants of every returned path,
+saturation of stalled paths, rotation budgets, restart counts, the far-side
+stall escape, and seed determinism."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from weakham._engine import closure_scan, spanning_cycle_search, stalled_longest_path
+from weakham._engine import closure_scan, search
 
 
 def _graph(n, pairs):
@@ -143,39 +145,91 @@ def _seeded(seed):
     return np.random.default_rng(seed)
 
 
-@given(graphs(), st.integers(0, 60), st.integers(0, 3), st.integers(0, 2**16))
-def test_spanning_cycle_search_invariants(g, budget, max_restarts, seed):
+def _connected(adj, target):
+    target = set(target)
+    seen = {min(target)}
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in target and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == target
+
+
+def _assert_stalled(adj, P, target, close):
+    """P is saturated: no endpoint of its rotation closure can extend into
+    the target (or, when cycles are sought, close one)."""
+    for Q in _rotation_closure(adj, P):
+        assert not _wins(adj, Q, target, close)
+
+
+@given(graphs(), st.integers(0, 60), st.integers(1, 4), st.integers(0, 2**16))
+def test_search_cycle_mode_invariants(g, budget, attempts, seed):
     adj, masks, target = g
-    cyc, best, rots, restarts, exhausted = spanning_cycle_search(
-        adj, masks, target, _seeded(seed), budget, max_restarts
+    cyc, best, rots, restarts, exhausted = search(
+        adj, masks, target, _seeded(seed), budget, attempts, close=True
     )
     assert 0 <= rots <= budget
-    assert 0 <= restarts <= max_restarts
+    assert 0 <= restarts < attempts
     _assert_path(adj, best)
-    assert set(best) <= set(target)
+    assert best and set(best) <= set(target)
     if cyc is not None:
         _assert_path(adj, cyc)
         assert cyc[0] in adj[cyc[-1]]
         assert len(cyc) >= 3 and set(cyc) == set(target)
         assert not exhausted
-    again = spanning_cycle_search(adj, masks, target, _seeded(seed), budget, max_restarts)
+    elif not exhausted:
+        # every start was spent; on a connected target each one ended in a
+        # full far-side sweep, so the kept path is a stalled orientation
+        assert restarts == attempts - 1
+        if _connected(adj, target):
+            _assert_stalled(adj, best, set(target), True)
+    again = search(adj, masks, target, _seeded(seed), budget, attempts, close=True)
     assert again == (cyc, best, rots, restarts, exhausted)
 
 
 @given(graphs(), st.integers(0, 60), st.integers(1, 3), st.integers(0, 2**16))
-def test_stalled_longest_path_invariants(g, budget, attempts, seed):
+def test_search_path_mode_invariants(g, budget, attempts, seed):
     adj, masks, allowed = g
-    best, rots, exhausted = stalled_longest_path(
-        adj, masks, allowed, _seeded(seed), budget, attempts
+    cyc, best, rots, restarts, exhausted = search(
+        adj, masks, allowed, _seeded(seed), budget, attempts, close=False
     )
+    assert cyc is None
     assert 0 <= rots <= budget
+    assert 0 <= restarts < attempts
     _assert_path(adj, best)
     assert best and set(best) <= set(allowed)
     assert not exhausted or rots == budget
     if not exhausted:
-        # the path is a stalled orientation: no endpoint of its rotation
-        # closure has an allowed neighbor off the path
-        for P in _rotation_closure(adj, best):
-            assert not _wins(adj, P, set(allowed), False)
-    again = stalled_longest_path(adj, masks, allowed, _seeded(seed), budget, attempts)
-    assert again == (best, rots, exhausted)
+        _assert_stalled(adj, best, set(allowed), False)
+    # `exhausted` only when the first start ran out before any stall
+    first = search(adj, masks, allowed, _seeded(seed), budget, 1, close=False)
+    assert exhausted == first[4]
+    again = search(adj, masks, allowed, _seeded(seed), budget, attempts, close=False)
+    assert again == (cyc, best, rots, restarts, exhausted)
+
+
+def test_search_sweeps_the_far_side_before_giving_up_a_start():
+    # one start: reversing the stalled path alone finds no cycle here, but
+    # the far-side closure of another endpoint closes a Hamilton cycle
+    pairs = [(0, 1), (0, 3), (0, 5), (0, 7), (1, 6), (2, 3), (2, 5), (2, 6),
+             (3, 4), (3, 6), (4, 5), (4, 7)]
+    adj, masks = _graph(8, pairs)
+    cyc, best, rots, restarts, exhausted = search(
+        adj, masks, range(8), _seeded(0), 1000, 1, close=True
+    )
+    assert cyc is not None and sorted(cyc) == list(range(8))
+    _assert_path(adj, cyc)
+    assert cyc[0] in adj[cyc[-1]]
+    assert restarts == 0 and not exhausted
+
+
+def test_search_sweeps_far_sides_smallest_endpoint_first():
+    # from this start the far side of the smallest closure endpoint leads on
+    # to a Hamilton path; sweeping the largest endpoint first stalls at 6
+    # vertices
+    pairs = [(0, 2), (0, 5), (1, 2), (1, 5), (2, 4), (3, 4), (3, 5), (4, 6)]
+    adj, masks = _graph(7, pairs)
+    assert search(adj, masks, range(7), _seeded(0), 100, 1, close=False) == (
+        None, [1, 2, 0, 5, 3, 4, 6], 2, 0, False)

@@ -22,15 +22,20 @@ from weakham import (
     booster_edges,
     booster_lower_bound,
     dlv_long_path,
+    exact_spanning_cycle_on_v1,
+    GnpParams,
     has_weak_cycle_of_length,
+    isolated_vertices,
     lift_cycle,
     lift_path,
     neighbors,
     non_isolated_vertices,
+    p_from_c,
     posa_set,
     projection_graph,
     rotate,
     rotation_extension_search,
+    sample_gnp,
     stalled_path,
     u_exact,
     validate,
@@ -418,15 +423,53 @@ def test_search_complete_graphs_over_sizes():
 
 
 def test_search_reports_spent_restarts():
-    # triangles chained at cut vertices: connected, but no spanning cycle, so
-    # the search gives up on restarts rather than on its rotation budget
-    chain = H(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
-    out = rotation_extension_search(chain, rng=SeededRng(1))
+    # two complete blocks sharing the cut vertex 4: connected, no vertex of
+    # shadow degree 2, but no spanning cycle, so the search gives up on
+    # restarts rather than on its rotation budget
+    blocks = H(9, 3, list(combinations(range(5), 3)) + list(combinations(range(4, 9), 3)))
+    out = rotation_extension_search(blocks, rng=SeededRng(1))
     assert not out.complete and out.impossible is None
     assert not out.exhausted and out.restarts == 4
     for seed in range(20):
         out = rotation_extension_search(_gnp(20, 3, 0.02, seed), budget=200, rng=SeededRng(seed))
         assert 0 <= out.restarts <= 4
+
+
+def test_search_certifies_forced_edge_obstructions():
+    # vertices 0, 1 (and 3, 5, 6) have two shadow neighbors each, so vertex 2
+    # lies on three forced edges
+    chain = H(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    out = rotation_extension_search(chain, rng=SeededRng(1))
+    assert not out.complete and out.rotations == 0
+    assert out.impossible == "vertex 2 lies on 3 forced shadow edges (a spanning cycle uses 2)"
+    # a pendant vertex of a graph
+    out = rotation_extension_search(H(4, 2, [(0, 1), (1, 2), (2, 0), (2, 3)]))
+    assert out.impossible == "vertex 3 has only 1 shadow neighbor (a spanning cycle needs 2)"
+    # the triangle 0-1-2 is forced at its degree-2 vertices 0 and 1; vertex
+    # 2 also lies in the complete graph on 2..5
+    out = rotation_extension_search(
+        H(6, 2, [(0, 1), (0, 2), (1, 2)] + list(combinations(range(2, 6), 2))))
+    assert out.impossible == (
+        "forced shadow edges close a cycle through 3 of 6 non-isolated vertices")
+
+
+def test_search_certifies_a_forced_triangle_at_n1000():
+    # one hyperedge holds two vertices of degree 1, whose forced shadow edges
+    # close a triangle; the search alone ends undecided after all restarts
+    Hs = sample_gnp(GnpParams(1000, 3, p_from_c(1000, 3, -1.0)), SeededRng(20260815, 75))
+    assert not isolated_vertices(Hs)
+    out = rotation_extension_search(Hs, rng=SeededRng(20260815, 75))
+    assert out.impossible is not None and out.rotations == 0
+    assert out.impossible.startswith("forced shadow edges close a cycle through 3 of")
+
+
+@given(hypergraphs(max_n=12, ds=(2, 3, 4)))
+def test_forced_edge_certificate_never_fires_on_a_yes(Hs):
+    out = rotation_extension_search(Hs, rng=SeededRng(0))
+    if len(non_isolated_vertices(Hs)) >= 3 and out.impossible is not None:
+        assert exact_spanning_cycle_on_v1(Hs).answer == "no"
+    if out.complete:
+        assert out.impossible is None
 
 
 def test_search_deterministic_under_seed():
