@@ -14,11 +14,11 @@ import sys
 
 from .errors import CapabilityError, InputError
 from .harness import make_config, parse_config_text, run_experiment
-from .hypercore import dump_hypergraph, isolated_vertices, load_hypergraph
-from .oracle import exact_weak_hamiltonian
+from .hypercore import dump_hypergraph, load_hypergraph
+from .oracle import decide_weak_hamiltonian, exact_weak_hamiltonian
 from .plotting import emit_plot
 from .randmodels import GnmParams, GnpParams, SeededRng, m_from_c, p_from_c, sample_gnm, sample_gnp
-from .weakpaths import rotation_extension_search, weak_to_json
+from .weakpaths import weak_to_json
 
 __all__ = ["main"]
 
@@ -111,37 +111,12 @@ def _cmd_check(args) -> int:
         print(verdict.to_json())
         return 0
     budget = args.budget if args.budget > 0 else None
-    iso = isolated_vertices(H)
-    if H.n < 3:
-        doc = {"answer": "no", "method": "heuristic", "note": f"n = {H.n} < 3",
-               "witness": None, "rotations": 0}
-    elif iso:
-        doc = {
-            "answer": "no", "method": "heuristic",
-            "note": f"vertex {min(iso)} is isolated", "witness": None,
-            "rotations": 0,
-        }
-    else:
-        outcome = rotation_extension_search(
-            H, budget=budget, rng=SeededRng(args.seed, 0)
-        )
-        if outcome.complete:
-            doc = {
-                "answer": "yes", "method": "heuristic", "note": None,
-                "witness": json.loads(weak_to_json(outcome.cycle)),
-                "rotations": outcome.rotations,
-            }
-        elif outcome.impossible is not None:
-            doc = {
-                "answer": "no", "method": "heuristic", "note": outcome.impossible,
-                "witness": None, "rotations": outcome.rotations,
-            }
-        else:
-            doc = {
-                "answer": "unknown", "method": "heuristic",
-                "note": "search gave up without a certificate", "witness": None,
-                "rotations": outcome.rotations,
-            }
+    verdict = decide_weak_hamiltonian(H, budget=budget, rng=SeededRng(args.seed, 0))
+    doc = {
+        "answer": verdict.answer, "method": "heuristic", "note": verdict.note,
+        "witness": json.loads(weak_to_json(verdict.witness)) if verdict.witness else None,
+        "rotations": verdict.search.rotations if verdict.search else 0,
+    }
     print(json.dumps(doc, separators=(",", ":"), sort_keys=True))
     return 0
 

@@ -14,15 +14,14 @@ serialized with repr(), so a config + seed pair yields byte-identical CSV
 regardless of worker count. Timings are kept on in-memory records only —
 never in tables.
 
-Verdict policy: a "no" is either certified (an isolated vertex, or a reason
-from rotation_extension_search: too few or disconnected non-isolated
-vertices, or shadow edges forced at degree-2 vertices that rule out a
-spanning cycle) or decided by the exact oracle at or below its cutoff.
-Heuristic search failures at sizes the exact oracle cannot reach are
-reported as "unknown", a separate column that is never folded into the "no"
-count, so an unknown means the search ran out of rotation budget or restarts
-on a graph with no such certificate; point estimates use decided trials
-only and unknown-rates are reported alongside.
+Verdict policy: threshold and process trials are decided by
+oracle.decide_weak_hamiltonian at the config's oracle_cutoff. A "no" is
+certified (n < 3, an isolated vertex, disconnected V1, or forced shadow
+edges ruling out a spanning cycle) or decided by the exact oracle at or
+below its cutoff. Search failures above the cutoff are "unknown", a
+separate column never folded into the "no" count: the search ran out of
+rotation budget or restarts on a graph with no such certificate. Point
+estimates use decided trials only; unknown-rates are reported alongside.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .expansion import (
     U_EXACT_MAX_V1,
 )
 from .hypercore import Hypergraph, components, isolated_vertices, non_isolated_vertices
-from .oracle import DP_MAX_VERTICES, exact_weak_hamiltonian
+from .oracle import DP_MAX_VERTICES, decide_weak_hamiltonian
 from .randmodels import (
     GnmParams,
     GnpParams,
@@ -61,7 +60,7 @@ from .randmodels import (
     sample_gnp,
     sampled_covered_vertices,
 )
-from .weakpaths import rotation_extension_search, validate
+from .weakpaths import validate
 
 __all__ = [
     "ExperimentConfig",
@@ -379,26 +378,14 @@ def _threshold_trial(args) -> TrialRecord:
         H = sample_gnm(GnmParams(n, d, m), rng)
     iso = len(isolated_vertices(H))
     mindeg_ok = iso == 0
-    exhausted = False
-    if not mindeg_ok:
-        ham = "no"
-    else:
-        outcome = rotation_extension_search(
-            H, budget=budget, rng=rng.shifted(_SEARCH_LANE)
-        )
-        exhausted = outcome.exhausted
-        if outcome.complete:
-            assert outcome.cycle is not None
-            check = validate(outcome.cycle, H)
-            assert check.ok, f"search returned invalid witness: {check.violation}"
-            assert outcome.cycle.spanned == frozenset(range(n))
-            ham = "yes"
-        elif outcome.impossible is not None:
-            ham = "no"
-        elif n <= cutoff:
-            ham = exact_weak_hamiltonian(H, method="dp").answer
-        else:
-            ham = "unknown"
+    verdict = decide_weak_hamiltonian(
+        H, budget=budget, rng=rng.shifted(_SEARCH_LANE), oracle_cutoff=cutoff
+    )
+    ham = verdict.answer
+    if verdict.yes:
+        check = validate(verdict.witness, H)
+        assert check.ok, f"{verdict.method} returned invalid witness: {check.violation}"
+        assert verdict.witness.spanned == frozenset(range(n))
     assert not (ham == "yes" and not mindeg_ok)
     return TrialRecord(
         trial=trial,
@@ -408,7 +395,7 @@ def _threshold_trial(args) -> TrialRecord:
         isolated_count=iso,
         min_degree_ok=mindeg_ok,
         weak_ham=ham,
-        budget_exhausted=exhausted,
+        budget_exhausted=verdict.search is not None and verdict.search.exhausted,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -618,19 +605,13 @@ def _process_trial(args) -> ProcessRecord:
             tau = idx
             break
     assert tau is not None, "full process must cover every vertex"
-    exact = n <= cutoff
     t_ham = None
     for idx in range(tau, len(stream_edges) + 1):
         H = Hypergraph.from_edges(n, d, stream_edges[:idx])
-        if exact:
-            verdict = exact_weak_hamiltonian(H, method="dp")
-            hit = verdict.yes
-        else:
-            outcome = rotation_extension_search(
-                H, budget=budget, rng=rng.shifted(_SEARCH_LANE + idx)
-            )
-            hit = outcome.complete
-        if hit:
+        verdict = decide_weak_hamiltonian(
+            H, budget=budget, rng=rng.shifted(_SEARCH_LANE + idx), oracle_cutoff=cutoff
+        )
+        if verdict.yes:
             t_ham = idx
             break
     assert t_ham is not None, "the complete hypergraph is weakly Hamiltonian"
@@ -644,8 +625,8 @@ def run_process(cfg: ExperimentConfig) -> Table:
     """Random edge process: per trial, the first edge count tau with no
     isolated vertex and the first count t_ham with a weak Hamilton cycle.
     tau <= t_ham is asserted per row; the gap distribution is exploratory.
-    Exact testing up to the oracle cutoff, heuristic with validated
-    witnesses above it (t_ham is then an upper bound)."""
+    Prefixes are decided by decide_weak_hamiltonian: exactly up to the
+    oracle cutoff, above it by search witnesses only (t_ham an upper bound)."""
     _require(cfg, "process")
     if cfg.n < 3:
         raise InputError(f"process needs n >= 3 for cycles, got {cfg.n}")

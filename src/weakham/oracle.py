@@ -14,12 +14,13 @@ Two deliberately independent decision procedures are provided:
 
 Agreement of the two on random instances is one of the package's acceptance
 checks. Every "yes" carries a validated witness; notes explain fast "no"s.
+decide_weak_hamiltonian puts the rotation search in front of the dp oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _bitdp
 from .errors import CapabilityError, InputError
@@ -29,10 +30,13 @@ from .hypercore import (
     isolated_vertices,
     non_isolated_vertices,
 )
-from .weakpaths import WeakCycle, WeakPath, lift_cycle, lift_path, validate, weak_to_json
+from .randmodels import SeededRng
+from .weakpaths import (SearchOutcome, WeakCycle, WeakPath, lift_cycle, lift_path,
+                        rotation_extension_search, validate, weak_to_json)
 
 __all__ = [
     "OracleVerdict",
+    "decide_weak_hamiltonian",
     "exact_weak_hamiltonian",
     "exact_spanning_cycle_on_v1",
     "longest_weak_path_exact",
@@ -49,14 +53,16 @@ _LONGEST_MAX_VERTICES = 18
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Exact answer with provenance: answer in {"yes", "no"}, a validated
-    witness cycle for "yes", the deciding method, and a reason note for
-    shortcut "no"s."""
+    """Answer with provenance: answer in {"yes", "no"} ("unknown" too from
+    decide_weak_hamiltonian), a validated witness cycle for "yes", the deciding
+    method ("dp", "backtracking-direct" or "search"), a reason note, and the
+    search outcome (rotations, restarts, exhausted) whenever the search ran."""
 
     answer: str
     witness: WeakCycle | None
     method: str
     note: str | None = None
+    search: SearchOutcome | None = None
 
     @property
     def yes(self) -> bool:
@@ -146,6 +152,17 @@ def _direct_hamilton(H: Hypergraph) -> WeakCycle | None:
     return WeakCycle(tuple(verts), tuple(used))
 
 
+def _trivial_no(H: Hypergraph) -> str | None:
+    """Why H certainly has no weak Hamilton cycle, read off its size and
+    degrees (n < 3, or an isolated vertex), or None."""
+    if H.n < 3:
+        return f"n = {H.n} < 3"
+    iso = isolated_vertices(H)
+    if iso:
+        return f"vertex {min(iso)} is isolated"
+    return None
+
+
 def exact_weak_hamiltonian(H: Hypergraph, method: str = "dp") -> OracleVerdict:
     """Decide whether H has a weak Hamilton cycle (all n vertices).
 
@@ -156,13 +173,11 @@ def exact_weak_hamiltonian(H: Hypergraph, method: str = "dp") -> OracleVerdict:
     """
     if method not in ("dp", "backtracking-direct"):
         raise InputError(f"unknown oracle method {method!r}")
-    if H.n < 3:
-        return OracleVerdict("no", None, method, note=f"n = {H.n} < 3")
-    iso = isolated_vertices(H)
-    if iso:
-        return OracleVerdict("no", None, method, note=f"vertex {min(iso)} is isolated")
-    if not is_connected_on(H, range(H.n)):
-        return OracleVerdict("no", None, method, note="vertex set is disconnected")
+    note = _trivial_no(H)
+    if note is None and not is_connected_on(H, range(H.n)):
+        note = "vertex set is disconnected"
+    if note is not None:
+        return OracleVerdict("no", None, method, note=note)
     if method == "dp":
         if H.n > DP_MAX_VERTICES:
             raise CapabilityError(
@@ -185,6 +200,30 @@ def exact_weak_hamiltonian(H: Hypergraph, method: str = "dp") -> OracleVerdict:
     assert check.ok, f"oracle produced an invalid witness: {check.violation}"
     assert witness.spanned == frozenset(range(H.n))
     return OracleVerdict("yes", witness, method)
+
+
+def decide_weak_hamiltonian(
+    H: Hypergraph, budget: int | None = None, rng: SeededRng | None = None,
+    oracle_cutoff: int = 0,
+) -> OracleVerdict:
+    """Decide whether H has a weak Hamilton cycle at any size: n < 3 or an
+    isolated vertex gives the dp oracle's certified "no"; else
+    rotation_extension_search(H, budget, rng) gives "yes" with its validated
+    witness or a certified "no" (its `impossible` reason); else the dp oracle
+    decides when n <= oracle_cutoff; else "unknown". A search failure is
+    never a "no", so up to the cutoff the answer is the exact oracle's."""
+    note = _trivial_no(H)
+    if note is not None:
+        return OracleVerdict("no", None, "dp", note=note)
+    outcome = rotation_extension_search(H, budget=budget, rng=rng)
+    if outcome.complete:
+        return OracleVerdict("yes", outcome.cycle, "search", search=outcome)
+    if outcome.impossible is not None:
+        return OracleVerdict("no", None, "search", note=outcome.impossible, search=outcome)
+    if H.n <= oracle_cutoff:
+        return replace(exact_weak_hamiltonian(H, method="dp"), search=outcome)
+    return OracleVerdict("unknown", None, "search",
+                         note="search gave up without a certificate", search=outcome)
 
 
 def exact_spanning_cycle_on_v1(H: Hypergraph) -> OracleVerdict:

@@ -220,18 +220,23 @@ def _rows_to_edges(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
 # --- samplers -----------------------------------------------------------------
 
 
-def sample_gnp(params: GnpParams, rng: SeededRng) -> Hypergraph:
-    """One draw of G(n,p): binomial edge count, then that many distinct edges."""
+def _gnp_rows(params: GnpParams, rng: SeededRng) -> np.ndarray:
+    """The edge rows of one G(n,p) draw: a binomial edge count (drawn only
+    when 0 < p < 1 and some d-set exists), then that many distinct rows."""
     gen = rng.generator()
     total = math.comb(params.n, params.d)
     if params.p == 0.0 or total == 0:
-        return Hypergraph(n=params.n, d=params.d, edges=())
-    if params.p == 1.0:
+        k = 0
+    elif params.p == 1.0:
         k = total
     else:
         k = int(gen.binomial(total, params.p))
-    rows = _sample_distinct_rows(params.n, params.d, k, gen)
-    return Hypergraph(n=params.n, d=params.d, edges=_rows_to_edges(rows))
+    return _sample_distinct_rows(params.n, params.d, k, gen)
+
+
+def sample_gnp(params: GnpParams, rng: SeededRng) -> Hypergraph:
+    """One draw of G(n,p): binomial edge count, then that many distinct edges."""
+    return Hypergraph(n=params.n, d=params.d, edges=_rows_to_edges(_gnp_rows(params, rng)))
 
 
 def sample_gnm(params: GnmParams, rng: SeededRng) -> Hypergraph:
@@ -245,14 +250,8 @@ def sampled_covered_vertices(params: GnpParams, rng: SeededRng) -> np.ndarray:
     """Boolean coverage mask of a fresh G(n,p) draw without materializing the
     Hypergraph. Same distribution as sample_gnp (same sampling core); used by
     the harness for fast min-degree-only trials."""
-    gen = rng.generator()
     covered = np.zeros(params.n, dtype=bool)
-    total = math.comb(params.n, params.d)
-    if params.p == 0.0 or total == 0:
-        return covered
-    k = total if params.p == 1.0 else int(gen.binomial(total, params.p))
-    rows = _sample_distinct_rows(params.n, params.d, k, gen)
-    covered[rows.ravel()] = True
+    covered[_gnp_rows(params, rng).ravel()] = True
     return covered
 
 

@@ -139,6 +139,18 @@ def test_check_heuristic_isolated_vertex(tmp_path, capsys):
     assert "is isolated" in doc["note"]
 
 
+def test_check_heuristic_tiny_n_output_is_pinned(tmp_path, capsys):
+    path = os.fspath(tmp_path / "n2.txt")
+    with open(path, "w") as f:
+        f.write("2 2 1\n0 1\n")
+    rc = run_cli("check", "--in", path, "--mode", "heuristic")
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        '{"answer":"no","method":"heuristic","note":"n = 2 < 3",'
+        '"rotations":0,"witness":null}\n'
+    )
+
+
 def test_check_heuristic_forced_edges_certify_no(tmp_path, capsys):
     path = os.fspath(tmp_path / "chain.txt")
     dump_hypergraph(Hypergraph.from_edges(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)]), path)
@@ -229,6 +241,18 @@ def test_exp_rejects_bad_config(tmp_path, capsys):
         f.write("nonsense line\n")
     assert run_cli("exp", "threshold", "--config", cfgfile, "--out", out) == 1
     capsys.readouterr()
+
+
+def test_exp_worker_error_keeps_its_exit_code(tmp_path, capsys):
+    # c = 30000 clamps p to 1, and drawing all C(231, 3) d-sets raises
+    # CapabilityError inside a fork-pool worker
+    out = os.fspath(tmp_path / "t.csv")
+    with pytest.warns(UserWarning, match="clamped to 1"):
+        rc = run_cli("exp", "threshold", "--n", "231", "--d", "3", "--c-grid=30000",
+                     "--trials", "2", "--workers", "2", "--out", out)
+    assert rc == 2
+    assert "enumeration limit" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # ----------------------------------------------------------------------- plot

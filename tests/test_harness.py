@@ -10,9 +10,13 @@ import os
 import pytest
 
 from weakham import (
+    Hypergraph,
     InputError,
+    SeededRng,
     Table,
+    edge_process,
     estimate_mindeg_probability,
+    exact_weak_hamiltonian,
     limiting_probability,
     load_table,
     m_from_c,
@@ -270,6 +274,41 @@ def test_process_run_necessary_condition_never_violated():
         assert 1 <= a <= b  # cover time never exceeds the cycle hitting time
         assert g == b - a
         assert e == (a == b)
+
+
+def _exact_process_times(n, d, seed, trial):
+    """(tau, t_ham) of one process trial with the exact oracle on every
+    prefix: trial t draws its edge order from stream t."""
+    edges = edge_process(n, d, SeededRng(seed, trial))
+    covered: set[int] = set()
+    for tau, e in enumerate(edges, 1):
+        covered.update(e)
+        if len(covered) == n:
+            break
+    t_ham = next(
+        i for i in range(1, len(edges) + 1)
+        if exact_weak_hamiltonian(Hypergraph.from_edges(n, d, edges[:i])).yes
+    )
+    return tau, t_ham
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_process_matches_the_exact_oracle_on_every_prefix(n, d):
+    for seed in (1, 2, 3):
+        exact = [_exact_process_times(n, d, seed, t) for t in range(4)]
+        # a budget of 1 rotation leaves many prefixes to the oracle
+        for budget in ("0", "1"):
+            opts = {"n": str(n), "d": str(d), "trials": "4", "seed": str(seed),
+                    "budget": budget}
+            tab = run_experiment(make_config("process", opts))
+            times = [(int(a), int(b)) for a, b in zip(tab.column("tau"), tab.column("t_ham"))]
+            assert times == exact
+            # with no oracle only a search witness counts: tau is unchanged
+            # and t_ham can only come later
+            heur = run_experiment(make_config("process", dict(opts, oracle_cutoff="0")))
+            assert heur.column("tau") == tab.column("tau")
+            assert all(int(h) >= e for h, (_, e) in zip(heur.column("t_ham"), exact))
 
 
 def test_process_tiny_universe_is_degenerate():

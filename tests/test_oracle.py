@@ -1,6 +1,6 @@
 """Exhaustive small-instance deciders: weak Hamiltonicity by two independent
-methods, spanning cycles on the covered vertex set, longest weak paths, and
-fixed-length weak cycles."""
+methods, the verdict policy the experiments share, spanning cycles on the
+covered vertex set, longest weak paths, and fixed-length weak cycles."""
 
 from __future__ import annotations
 
@@ -16,9 +16,11 @@ from weakham import (
     Hypergraph,
     InputError,
     SeededRng,
+    decide_weak_hamiltonian,
     exact_spanning_cycle_on_v1,
     exact_weak_hamiltonian,
     has_weak_cycle_of_length,
+    isolated_vertices,
     longest_weak_path_exact,
     non_isolated_vertices,
     sample_gnp,
@@ -138,6 +140,62 @@ def test_direct_capability_limit():
     chain = [tuple(range(i, i + 3)) for i in range(15)]
     with pytest.raises(CapabilityError, match="direct oracle handles n <= 16"):
         exact_weak_hamiltonian(H(17, 3, chain), method="backtracking-direct")
+
+
+# ------------------------------------------------------------ verdict policy
+
+
+@st.composite
+def _policy_cases(draw):
+    n = 12 - draw(st.integers(0, 12))  # draws lean to 0, so n leans to 12
+    d = draw(st.sampled_from([2, 3, 4]))
+    p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]))
+    graph = _gnp(n, d, p, draw(st.integers(0, 2**16)))
+    return graph, draw(st.sampled_from([None, 0, 1, 5])), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200)
+@given(_policy_cases())
+def test_decide_agrees_with_the_oracle(case):
+    g, budget, seed = case
+    exact = exact_weak_hamiltonian(g).answer
+    trivial = g.n < 3 or bool(isolated_vertices(g))
+    for cutoff in (20, 0):
+        v = decide_weak_hamiltonian(g, budget=budget, rng=SeededRng(seed), oracle_cutoff=cutoff)
+        if cutoff:
+            assert v.answer == exact
+        else:
+            assert v.answer in (exact, "unknown")
+        if v.yes:
+            assert validate(v.witness, g).ok
+            assert v.witness.spanned == frozenset(range(g.n))
+        assert (v.search is None) == trivial
+        if v.answer == "unknown":
+            assert v.method == "search" and v.search.impossible is None
+            assert not v.search.complete
+
+
+def test_decide_trivial_no_is_the_oracles():
+    for g in (Hypergraph(2, 2, ((0, 1),)), H(5, 3, [(0, 1, 2)])):
+        assert decide_weak_hamiltonian(g, oracle_cutoff=20) == exact_weak_hamiltonian(g)
+
+
+def test_decide_keeps_the_search_provenance():
+    # two K_5^(3) sharing vertex 4: no certificate, and a zero budget stalls
+    blocks = H(9, 3, list(combinations(range(5), 3)) + list(combinations(range(4, 9), 3)))
+    oracle = decide_weak_hamiltonian(blocks, budget=0, oracle_cutoff=20)
+    assert (oracle.answer, oracle.method, oracle.note) == ("no", "dp", None)
+    assert oracle.search.exhausted and oracle.search.rotations == 0
+    unknown = decide_weak_hamiltonian(blocks, budget=0)
+    assert (unknown.answer, unknown.method) == ("unknown", "search")
+    assert unknown.note == "search gave up without a certificate"
+    assert unknown.search == oracle.search
+    yes = decide_weak_hamiltonian(complete_hypergraph(6, 3))
+    assert (yes.answer, yes.method, yes.search.complete) == ("yes", "search", True)
+    chain = decide_weak_hamiltonian(H(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)]))
+    assert (chain.answer, chain.method) == ("no", "search")
+    assert chain.search.impossible is not None
+    assert chain.note == chain.search.impossible
 
 
 # ------------------------------------------------------- spanning on covered
