@@ -69,10 +69,6 @@ class ExpansionReport:
     v1_size: int
 
 
-def _neighbor_masks(H: Hypergraph) -> list[int]:
-    return list(H.shadow.adj_masks)
-
-
 def _size_cap(v1_size: int) -> int:
     # any A of size floor(|V1|/3) + 1 inside V1 is already non-expanding,
     # so no larger size ever needs to be enumerated
@@ -97,7 +93,7 @@ def u_exact(H: Hypergraph, limit: int = U_EXACT_MAX_V1) -> ExpansionReport:
             f"|V1| = {len(v1)} exceeds the exhaustive bound {limit}; "
             "use u_sampled_check for one-sided evidence"
         )
-    masks = _neighbor_masks(H)
+    masks = H.shadow.adj_masks
     for s in range(1, _size_cap(len(v1)) + 1):
         for A in combinations(v1, s):
             amask = 0
@@ -122,6 +118,68 @@ class SampledCheck:
     samples_used: int
 
 
+# random draws are tested for non-expansion this many at a time, which
+# bounds the memory of one test whatever the number of samples
+_SAMPLE_CHUNK = 256
+
+
+def _pool_words(H: Hypergraph, pool: list[int]) -> np.ndarray:
+    """Shadow neighborhoods of the pool as bit rows over pool positions:
+    bit j of row i is set iff pool[i] ~ pool[j]. Every neighbor of a pool
+    vertex lies in the pool (N(.) ⊆ V1), so no adjacency is lost. Rows are
+    (k+1) x (k // 64 + 1) uint64 words; row k is all zero and bit k exists,
+    so position k serves as padding in index matrices."""
+    k = len(pool)
+    pos = np.full(H.n, -1, dtype=np.int64)
+    pos[pool] = np.arange(k)
+    adj = H.shadow.adj
+    src = np.repeat(np.arange(k), [len(adj[v]) for v in pool])
+    dst = np.fromiter((w for v in pool for w in adj[v]), dtype=np.int64, count=src.size)
+    dst = pos[dst]
+    words = np.zeros((k + 1, (k >> 6) + 1), dtype=np.uint64)
+    bits = np.uint64(1) << (dst & 63).astype(np.uint64)
+    np.bitwise_or.at(words, (src, dst >> 6), bits)
+    return words
+
+
+def _non_expanding(words: np.ndarray, idx: np.ndarray, sizes) -> np.ndarray:
+    """Whether each row A of idx (pool positions, padded with position k,
+    whose row is empty) is non-expanding: |N(A)| < 2|A|, where |N(A)| is
+    the popcount of the union of the members' rows less the members that
+    lie in that union."""
+    nbr = np.bitwise_or.reduce(words[idx], axis=1)
+    inside = np.take_along_axis(nbr, idx >> 6, axis=1) >> (idx & 63).astype(np.uint64)
+    size = np.bitwise_count(nbr).sum(axis=1, dtype=np.int64)
+    size -= (inside & np.uint64(1)).sum(axis=1, dtype=np.int64)
+    return size < 2 * np.asarray(sizes)
+
+
+def _first_small_hit(words: np.ndarray, s: int) -> tuple[int, tuple[int, ...] | None]:
+    """Scan all s-subsets (s = 1 or 2) of pool positions in combinations
+    order; return (subsets scanned, first non-expanding subset or None).
+    With shadow degrees, {u} is non-expanding iff deg u < 2 and {u, v} iff
+    deg u + deg v - |N(u) ∩ N(v)| - 2·[u~v] < 4. As N({u, v}) contains
+    N(u) - {v}, only pairs of vertices of degree <= 4 can fail, so only
+    those are tested; a hit's rank in the full order gives the subsets
+    scanned."""
+    k = words.shape[0] - 1
+    deg = np.bitwise_count(words[:k]).sum(axis=1, dtype=np.int64)
+    if s == 1:
+        hits = np.flatnonzero(deg < 2)
+        return (k, None) if hits.size == 0 else (int(hits[0]) + 1, (int(hits[0]),))
+    low = np.flatnonzero(deg <= 4)
+    a, b = np.triu_indices(low.size, 1)
+    iu, ju = low[a], low[b]
+    common = np.bitwise_count(words[iu] & words[ju]).sum(axis=1, dtype=np.int64)
+    adjacent = (words[iu, ju >> 6] >> (ju & 63).astype(np.uint64)) & np.uint64(1)
+    bad = deg[iu] + deg[ju] < 4 + common + 2 * adjacent.astype(np.int64)
+    hits = np.flatnonzero(bad)
+    if hits.size == 0:
+        return math.comb(k, 2), None
+    u, v = int(iu[hits[0]]), int(ju[hits[0]])
+    return u * (2 * k - u - 1) // 2 + v - u, (u, v)
+
+
 def u_sampled_check(
     H: Hypergraph,
     u_target: int,
@@ -133,61 +191,81 @@ def u_sampled_check(
 
     Candidate pool is V1(H) unless include_isolated, in which case any vertex
     may participate (an isolated vertex alone is trivially non-expanding).
-    Strategy: exhaust sizes 1 and 2 when cheap, then random subsets of random
-    sizes; any hit is greedily shrunk to a (locally) minimal counterexample.
-    A pass is one-sided evidence only.
+    Strategy, over the sorted pool:
+
+    - Sizes 1 then 2 (when below u_target) are scanned exhaustively in
+      `itertools.combinations` order, stopping at the first non-expanding
+      set; a size is skipped when it has more than 50,000 subsets, so pairs
+      are skipped for pools of more than 316 vertices. With shadow degrees,
+      {u} is non-expanding iff deg u < 2, and {u, v} iff
+      deg u + deg v - |N(u) ∩ N(v)| - 2·[u~v] < 4.
+    - Then `samples` random subsets: each draws its size uniformly from
+      [1, min(u_target - 1, |pool|)] and its members without replacement.
+    - A random hit is greedily shrunk to a (locally) minimal counterexample:
+      repeatedly drop the first vertex, in a fresh random order, whose
+      removal leaves the set non-expanding.
+
+    samples_used counts every subset tested, exhaustive ones included. A
+    pass is one-sided evidence only.
     """
     if u_target < 0:
         raise InputError(f"u_target must be >= 0, got {u_target}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
-    pool = sorted(range(H.n)) if include_isolated else sorted(non_isolated_vertices(H))
+    pool = list(range(H.n)) if include_isolated else list(non_isolated_vertices(H))
     if u_target <= 1 or not pool:
         return SampledCheck(ok=True, counterexample=None, samples_used=0)
-    masks = _neighbor_masks(H)
+    k = len(pool)
+    words = _pool_words(H, pool)
 
-    def bad(A: tuple[int, ...]) -> bool:
-        amask = 0
-        nmask = 0
-        for v in A:
-            amask |= 1 << v
-            nmask |= masks[v]
-        return (nmask & ~amask).bit_count() < 2 * len(A)
+    def found(A, used: int) -> SampledCheck:
+        return SampledCheck(
+            ok=False, counterexample=frozenset(pool[i] for i in A), samples_used=used
+        )
 
-    def shrink(A: list[int], gen) -> frozenset[int]:
+    used = 0
+    max_size = min(u_target - 1, k)
+    for s in (1, 2):
+        if s > max_size or math.comb(k, s) > 50_000:
+            continue
+        scanned, hit = _first_small_hit(words, s)
+        used += scanned
+        if hit is not None:
+            return found(hit, used)
+
+    gen = (rng or SeededRng(0, 0)).generator()
+
+    def draw() -> np.ndarray:
+        s = int(gen.integers(1, max_size + 1))
+        return gen.choice(k, size=s, replace=False)
+
+    def shrink(A: list[int]) -> list[int]:
         changed = True
         while changed and len(A) > 1:
             changed = False
-            for v in list(gen.permutation(A)):
-                trial = [w for w in A if w != int(v)]
-                if trial and bad(tuple(trial)):
+            for v in gen.permutation(A):
+                trial = [w for w in A if w != v]
+                if _non_expanding(words, np.array([trial]), len(trial))[0]:
                     A = trial
                     changed = True
                     break
-        return frozenset(A)
+        return A
 
-    gen = (rng or SeededRng(0, 0)).generator()
-    used = 0
-    max_size = min(u_target - 1, len(pool))
-    for s in (1, 2):
-        if s > max_size or math.comb(len(pool), s) > 50_000:
-            continue
-        for A in combinations(pool, s):
-            used += 1
-            if bad(A):
-                return SampledCheck(
-                    ok=False, counterexample=frozenset(A), samples_used=used
-                )
-    for _ in range(samples):
-        used += 1
-        s = int(gen.integers(1, max_size + 1))
-        A = [int(v) for v in gen.choice(len(pool), size=s, replace=False)]
-        A = [pool[i] for i in A]
-        if bad(tuple(A)):
-            return SampledCheck(
-                ok=False, counterexample=shrink(A, gen), samples_used=used
-            )
-    return SampledCheck(ok=True, counterexample=None, samples_used=used)
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        state = gen.bit_generator.state
+        drawn = [draw() for _ in range(min(_SAMPLE_CHUNK, samples - start))]
+        sizes = np.array([A.size for A in drawn])
+        idx = np.full((len(drawn), max_size), k, dtype=np.int64)
+        idx[np.arange(max_size) < sizes[:, None]] = np.concatenate(drawn)
+        hits = np.flatnonzero(_non_expanding(words, idx, sizes))
+        if hits.size:
+            # replay the chunk up to the hit so shrink draws from the
+            # generator state a one-at-a-time scan would have left
+            gen.bit_generator.state = state
+            for _ in range(int(hits[0]) + 1):
+                A = draw()
+            return found(shrink(A.tolist()), used + start + int(hits[0]) + 1)
+    return SampledCheck(ok=True, counterexample=None, samples_used=used + samples)
 
 
 def minimal_nonexpanding_connected(H: Hypergraph, A: Iterable[int]) -> bool:

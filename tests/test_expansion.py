@@ -4,10 +4,12 @@ with its closed-form success bounds."""
 
 from __future__ import annotations
 
+import math
+import os
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakham import (
@@ -19,15 +21,19 @@ from weakham import (
     greedy_probe,
     is_connected_on,
     is_non_expanding,
+    make_config,
     minimal_nonexpanding_connected,
     neighbors,
     non_isolated_vertices,
+    p_from_c,
     pab_bound_exact,
     pab_bound_simple,
+    run_experiment,
     sample_gnp,
     u_exact,
     u_sampled_check,
 )
+from weakham.expansion import SampledCheck, _SAMPLE_CHUNK
 
 from conftest import complete_hypergraph, hypergraphs
 
@@ -194,6 +200,116 @@ def test_u_sampled_check_agrees_with_exact_on_true_value():
                                       rng=SeededRng(80 + s))
             if not bad_chk.ok:
                 assert len(bad_chk.counterexample) == rep.u
+
+
+def _scalar_sampled_check(Hs, u_target, samples, rng, include_isolated):
+    """Reference: the one-subset-at-a-time algorithm over int bitmasks
+    (`combinations` scan of sizes 1 and 2, then sequential random draws,
+    each hit shrunk in a fresh random order). Inputs are assumed valid."""
+    pool = list(range(Hs.n)) if include_isolated else list(non_isolated_vertices(Hs))
+    if u_target <= 1 or not pool:
+        return SampledCheck(ok=True, counterexample=None, samples_used=0)
+    masks = Hs.shadow.adj_masks
+
+    def bad(A):
+        amask = nmask = 0
+        for v in A:
+            amask |= 1 << v
+            nmask |= masks[v]
+        return (nmask & ~amask).bit_count() < 2 * len(A)
+
+    def shrink(A, gen):
+        changed = True
+        while changed and len(A) > 1:
+            changed = False
+            for v in list(gen.permutation(A)):
+                trial = [w for w in A if w != int(v)]
+                if trial and bad(trial):
+                    A = trial
+                    changed = True
+                    break
+        return frozenset(A)
+
+    gen = rng.generator()
+    used = 0
+    max_size = min(u_target - 1, len(pool))
+    for s in (1, 2):
+        if s > max_size or math.comb(len(pool), s) > 50_000:
+            continue
+        for A in combinations(pool, s):
+            used += 1
+            if bad(A):
+                return SampledCheck(
+                    ok=False, counterexample=frozenset(A), samples_used=used
+                )
+    for _ in range(samples):
+        used += 1
+        s = int(gen.integers(1, max_size + 1))
+        A = [pool[int(i)] for i in gen.choice(len(pool), size=s, replace=False)]
+        if bad(A):
+            return SampledCheck(
+                ok=False, counterexample=shrink(A, gen), samples_used=used
+            )
+    return SampledCheck(ok=True, counterexample=None, samples_used=used)
+
+
+@st.composite
+def _sampled_check_cases(draw):
+    # n up to 150 makes pool rows span one to three 64-bit words; small n
+    # are drawn often, because there random draws hit and get shrunk. The
+    # mean degree runs from mostly isolated to well expanding
+    d = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.one_of(st.integers(min_value=d, max_value=24),
+                       st.integers(min_value=d, max_value=150)))
+    mean_degree = draw(st.floats(min_value=0.0, max_value=8.0))
+    p = min(1.0, mean_degree / math.comb(n - 1, d - 1))
+    Hs = _gnp(n, d, p, seed=draw(st.integers(min_value=0, max_value=10**6)))
+    return (
+        Hs,
+        draw(st.integers(min_value=0, max_value=9)),
+        draw(st.integers(min_value=0, max_value=300)),
+        SeededRng(draw(st.integers(min_value=0, max_value=10**6))),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200)
+@given(_sampled_check_cases())
+def test_u_sampled_check_matches_scalar_reference(case):
+    Hs, u_target, samples, rng, include_isolated = case
+    got = u_sampled_check(
+        Hs, u_target, samples, rng=rng, include_isolated=include_isolated
+    )
+    assert got == _scalar_sampled_check(Hs, u_target, samples, rng, include_isolated)
+
+
+def test_u_sampled_check_hit_after_first_chunk_matches_reference():
+    # pool of 24, so 24 + 276 subsets are scanned exhaustively; the random
+    # phase hits at draw 367, inside the second chunk, and shrinks the hit
+    # to a 6-set along a path that depends on taking the first bad removal
+    Hs = sample_gnp(GnpParams(24, 3, p_from_c(24, 3, 1)), SeededRng(9, 0))
+    got = u_sampled_check(Hs, 8, 2000, rng=SeededRng(9, 1))
+    assert got == _scalar_sampled_check(Hs, 8, 2000, SeededRng(9, 1), False)
+    assert got.samples_used - (24 + math.comb(24, 2)) > _SAMPLE_CHUNK
+    assert got.counterexample == frozenset({1, 3, 4, 5, 10, 13})
+    assert got.samples_used == 667
+
+
+EXPANSION_GOLD = os.path.join(os.path.dirname(__file__), "data", "expansion_gold.csv")
+
+
+def test_expansion_table_matches_gold_file():
+    # written by `weakham exp expansion --n 200 --d 3 --c-grid=-1,0,1
+    # --trials 12 --samples 2000 --seed 20260815`; every trial has more than
+    # 22 non-isolated vertices, so each runs both sampled checks and the file
+    # pins their samples_used and below-target columns
+    cfg = make_config(
+        "expansion",
+        {"n": "200", "d": "3", "c_grid": "-1,0,1", "trials": "12",
+         "samples": "2000", "seed": "20260815"},
+    )
+    with open(EXPANSION_GOLD, encoding="utf-8") as fh:
+        assert run_experiment(cfg).to_csv_text() == fh.read()
 
 
 # ----------------------------------------------------- minimal connected sets
