@@ -52,7 +52,7 @@ from .randmodels import (
     GnmParams,
     GnpParams,
     SeededRng,
-    edge_process,
+    _process_rows,
     limiting_probability,
     m_from_c,
     p_from_c,
@@ -592,22 +592,14 @@ def run_isolated_distribution(cfg: ExperimentConfig) -> Table:
 def _process_trial(args) -> ProcessRecord:
     trial, n, d, master, stream, cutoff, budget = args
     rng = SeededRng(master, stream)
-    stream_edges = edge_process(n, d, rng)
-    covered = [False] * n
-    uncovered = n
-    tau = None
-    for idx, e in enumerate(stream_edges, start=1):
-        for v in e:
-            if not covered[v]:
-                covered[v] = True
-                uncovered -= 1
-        if uncovered == 0:
-            tau = idx
-            break
-    assert tau is not None, "full process must cover every vertex"
+    rows = _process_rows(n, d, rng)
+    # tau is the step of the edge holding the last first appearance of a vertex
+    _, first = np.unique(rows.ravel(), return_index=True)
+    assert first.size == n, "full process must cover every vertex"
+    tau = int(first.max()) // d + 1
     t_ham = None
-    for idx in range(tau, len(stream_edges) + 1):
-        H = Hypergraph.from_edges(n, d, stream_edges[:idx])
+    for idx in range(tau, len(rows) + 1):
+        H = Hypergraph.from_edges(n, d, map(tuple, rows[:idx].tolist()))
         verdict = decide_weak_hamiltonian(
             H, budget=budget, rng=rng.shifted(_SEARCH_LANE + idx), oracle_cutoff=cutoff
         )

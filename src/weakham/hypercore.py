@@ -11,13 +11,25 @@ hyperedges themselves.
 Vertices are 0-based contiguous ids. Edges are stored as strictly ascending
 tuples and the edge set is kept lexicographically sorted, which gives a
 canonical form: equal hypergraphs serialize to identical bytes.
+
+Each hypergraph also holds its edges as an (m, d) int64 array, `rows`, and
+the derived structures are built from it with numpy. Degrees are a
+`bincount`. Every edge contributes its C(d, 2) pairs as codes u*n + v
+(u < v), laid out edge-major, so `np.unique(codes, return_index=True)` gives
+the covered pairs in order together with the first position of each; that
+position over C(d, 2) is the lexicographically smallest edge covering the
+pair, the edge a shadow path is lifted through. The shadow's adjacency
+lists are split from the sorted symmetric pairs, and its bitmasks are
+packed from them as uint64 words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -48,33 +60,30 @@ class Hypergraph:
       * every edge is a strictly ascending d-tuple over [0, n)
       * no repeated edges
       * d >= 2; n >= d whenever the edge set is non-empty
+
+    `rows` holds the same edges, in the same order, as a read-only (m, d)
+    int64 array. A caller that already holds that array passes it as `rows`
+    (the samplers do, through `_from_rows`); it is trusted to match `edges`,
+    and otherwise it is built from `edges`.
     """
 
     n: int
     d: int
     edges: tuple[tuple[int, ...], ...]
+    rows: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, rows):
         if self.d < 2:
             raise InputError(f"d must be >= 2, got {self.d}")
         if self.n < 0:
             raise InputError(f"n must be >= 0, got {self.n}")
         if self.edges and self.n < self.d:
             raise InputError(f"n={self.n} < d={self.d} with non-empty edge set")
-        prev = None
-        for e in self.edges:
-            if len(e) != self.d:
-                raise InputError(f"edge {e} has arity {len(e)}, expected {self.d}")
-            if any(v < 0 or v >= self.n for v in e):
-                raise InputError(f"edge {e} has a vertex outside [0, {self.n})")
-            if any(e[k] >= e[k + 1] for k in range(self.d - 1)):
-                raise InputError(f"edge {e} is not strictly ascending")
-            if prev is not None:
-                if e == prev:
-                    raise InputError(f"duplicate edge {e}")
-                if e < prev:
-                    raise InputError("edge list is not sorted lexicographically")
-            prev = e
+        if rows is None:
+            rows = _edge_rows(self.n, self.d, self.edges)
+        _check_rows(self.n, rows, self.edges)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
@@ -87,17 +96,32 @@ class Hypergraph:
         canon = sorted(tuple(sorted(e)) for e in edges)
         return Hypergraph(n=n, d=d, edges=tuple(canon))
 
+    @staticmethod
+    def _from_rows(n: int, d: int, rows: np.ndarray) -> "Hypergraph":
+        """The hypergraph of a (k, d) int64 array of ascending rows in any
+        order (a sampler's draw): rows are sorted lexicographically and then
+        validated like any edge list."""
+        rows = rows[np.lexsort(rows.T[::-1])]
+        return Hypergraph(n, d, tuple(map(tuple, rows.tolist())), rows)
+
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return tuple(deg)
+        return tuple(np.bincount(self.rows.ravel(), minlength=self.n).tolist())
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The covered pairs (u, v), u < v, as ascending codes u*n + v, and
+        for each the index of the lexicographically smallest edge covering
+        it: codes are laid out edge-major and edges are sorted, so the first
+        occurrence of a code lies in that edge."""
+        a, b = np.triu_indices(self.d, 1)
+        codes = (self.rows[:, a] * self.n + self.rows[:, b]).ravel()
+        codes, first = np.unique(codes, return_index=True)
+        return codes, first // len(a)
 
     @cached_property
     def shadow(self) -> "ShadowGraph":
@@ -108,33 +132,69 @@ class Hypergraph:
         """Map each covered pair (u, v) with u < v to the lexicographically
         smallest hyperedge containing both. Used to lift shadow paths/cycles
         back to weak paths/cycles with deterministic witnesses."""
-        idx: dict[tuple[int, int], tuple[int, ...]] = {}
-        for e in self.edges:  # edges iterate in lex order, so first wins
-            for a in range(self.d):
-                for b in range(a + 1, self.d):
-                    pair = (e[a], e[b])
-                    if pair not in idx:
-                        idx[pair] = e
-        return idx
+        codes, first = self._pairs
+        u, v = np.divmod(codes, self.n)
+        return dict(zip(zip(u.tolist(), v.tolist()), map(self.edges.__getitem__, first.tolist())))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
 
 
+def _edge_rows(n: int, d: int, edges: Sequence[Sequence[int]]) -> np.ndarray:
+    """The edges as a (len(edges), d) int64 array. Raises InputError for an
+    edge of the wrong arity, unless an earlier edge already breaks the
+    invariants, and for vertices that are not 64-bit integers."""
+    good = next((i for i, e in enumerate(edges) if len(e) != d), len(edges))
+    rows = np.asarray(edges[:good]) if good else np.empty((0, d), dtype=np.int64)
+    if rows.dtype.kind not in "iu":
+        raise InputError("edge vertices must be 64-bit integers")
+    rows = rows.astype(np.int64, copy=False)
+    if good < len(edges):
+        _check_rows(n, rows, edges)
+        e = edges[good]
+        raise InputError(f"edge {e} has arity {len(e)}, expected {d}")
+    return rows
+
+
+def _check_rows(n: int, rows: np.ndarray, edges: Sequence[Sequence[int]]) -> None:
+    """Raise InputError for the first edge that breaks the invariants, in
+    list order, checking each edge's range, then its order, then its place
+    against the previous edge (`edges` are the same rows, for messages)."""
+    outside = ((rows < 0) | (rows >= n)).any(axis=1)
+    unsorted = (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+    diff = rows[1:] != rows[:-1]
+    col = diff.argmax(axis=1)
+    step = np.arange(len(diff))
+    dup = np.zeros_like(outside)
+    dup[1:] = ~diff.any(axis=1)
+    desc = np.zeros_like(outside)
+    desc[1:] = rows[1:][step, col] < rows[:-1][step, col]
+    bad = np.flatnonzero(outside | unsorted | dup | desc)
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    e = edges[i]
+    if outside[i]:
+        raise InputError(f"edge {e} has a vertex outside [0, {n})")
+    if unsorted[i]:
+        raise InputError(f"edge {e} is not strictly ascending")
+    if dup[i]:
+        raise InputError(f"duplicate edge {e}")
+    raise InputError("edge list is not sorted lexicographically")
+
+
 @dataclass(frozen=True)
 class ShadowGraph:
     """The 2-uniform projection of a hypergraph: u ~ v iff some hyperedge
-    contains both. Symmetric, no self-loops. `adj[v]` is an ascending tuple.
+    contains both. Symmetric, no self-loops. `adj[v]` is an ascending tuple;
+    `adj_masks[v]` is the same neighbor set as an int bitmask (bit w set iff
+    v ~ w).
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor sets as int bitmasks (bit v of adj_masks[u] = adjacency)."""
-        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
+    adj_masks: tuple[int, ...]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -164,12 +224,12 @@ def degrees(H: Hypergraph) -> tuple[int, ...]:
 
 def isolated_vertices(H: Hypergraph) -> tuple[int, ...]:
     """V0(H): vertices contained in no edge, ascending."""
-    return tuple(v for v in range(H.n) if H._degrees[v] == 0)
+    return tuple(v for v, k in enumerate(H._degrees) if k == 0)
 
 
 def non_isolated_vertices(H: Hypergraph) -> tuple[int, ...]:
     """V1(H): vertices of degree >= 1, ascending."""
-    return tuple(v for v in range(H.n) if H._degrees[v] > 0)
+    return tuple(v for v, k in enumerate(H._degrees) if k > 0)
 
 
 def neighbors(H: Hypergraph, V: Iterable[int]) -> frozenset[int]:
@@ -189,13 +249,26 @@ def neighbors(H: Hypergraph, V: Iterable[int]) -> frozenset[int]:
 
 def shadow_graph(H: Hypergraph) -> ShadowGraph:
     """Materialize the shadow: u ~ v iff some hyperedge contains both."""
-    nbr: list[set[int]] = [set() for _ in range(H.n)]
-    for e in H.edges:
-        for a in range(H.d):
-            for b in range(a + 1, H.d):
-                nbr[e[a]].add(e[b])
-                nbr[e[b]].add(e[a])
-    return ShadowGraph(n=H.n, adj=tuple(tuple(sorted(s)) for s in nbr))
+    n = H.n
+    codes, _ = H._pairs
+    u, v = np.divmod(codes, n)
+    src, dst = np.divmod(np.sort(np.concatenate((codes, v * n + u))), n)
+    flat = dst.tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    adj = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+    return ShadowGraph(n=n, adj=adj, adj_masks=_bit_rows(n, src, dst))
+
+
+def _bit_rows(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...]:
+    """Row v of the n x n bit matrix with bit dst[i] set in row src[i], for
+    each v, as an int (packed as little-endian uint64 words)."""
+    words = n // 64 + 1
+    packed = np.zeros(n * words, dtype="<u8")
+    bits = np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64))
+    np.bitwise_or.at(packed, src * words + (dst >> 6), bits)
+    buf = packed.tobytes()
+    step = 8 * words
+    return tuple(int.from_bytes(buf[i:i + step], "little") for i in range(0, len(buf), step))
 
 
 def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:

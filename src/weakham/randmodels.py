@@ -213,10 +213,6 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
         batch = max(256, 2 * (k - first.size))
 
 
-def _rows_to_edges(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(int(v) for v in row) for row in rows))
-
-
 # --- samplers -----------------------------------------------------------------
 
 
@@ -236,14 +232,14 @@ def _gnp_rows(params: GnpParams, rng: SeededRng) -> np.ndarray:
 
 def sample_gnp(params: GnpParams, rng: SeededRng) -> Hypergraph:
     """One draw of G(n,p): binomial edge count, then that many distinct edges."""
-    return Hypergraph(n=params.n, d=params.d, edges=_rows_to_edges(_gnp_rows(params, rng)))
+    return Hypergraph._from_rows(params.n, params.d, _gnp_rows(params, rng))
 
 
 def sample_gnm(params: GnmParams, rng: SeededRng) -> Hypergraph:
     """One draw of G(n,m): exactly m distinct edges, uniform."""
     gen = rng.generator()
     rows = _sample_distinct_rows(params.n, params.d, params.m, gen)
-    return Hypergraph(n=params.n, d=params.d, edges=_rows_to_edges(rows))
+    return Hypergraph._from_rows(params.n, params.d, rows)
 
 
 def sampled_covered_vertices(params: GnpParams, rng: SeededRng) -> np.ndarray:
@@ -269,6 +265,14 @@ def union_overlay(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
     return Hypergraph(n=H1.n, d=H1.d, edges=tuple(merged))
 
 
+def _process_rows(n: int, d: int, rng: SeededRng) -> np.ndarray:
+    """The edge process as a (C(n,d), d) int64 array: row i is the i-th
+    edge of the stream."""
+    gen = rng.generator()
+    allsets = _all_dsets(n, d)
+    return allsets[gen.permutation(len(allsets))]
+
+
 def edge_process(n: int, d: int, rng: SeededRng) -> tuple[tuple[int, ...], ...]:
     """Uniformly random permutation of all C(n,d) potential edges.
 
@@ -276,10 +280,7 @@ def edge_process(n: int, d: int, rng: SeededRng) -> tuple[tuple[int, ...], ...]:
     recording hitting times is the edge-process experiment. Raises
     CapabilityError when C(n,d) is above the enumeration limit.
     """
-    gen = rng.generator()
-    allsets = _all_dsets(n, d)
-    perm = gen.permutation(len(allsets))
-    return tuple(tuple(int(v) for v in allsets[i]) for i in perm)
+    return tuple(map(tuple, _process_rows(n, d, rng).tolist()))
 
 
 # --- sprinkling schedule -------------------------------------------------------

@@ -31,12 +31,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import _engine
 from .errors import CapabilityError, InputError
 from .hypercore import (
     Hypergraph,
     _union_find,
-    is_connected_on,
     neighbors,
     non_isolated_vertices,
 )
@@ -380,19 +381,28 @@ def default_rotation_budget(n: int) -> int:
     return max(1000, int(50 * n * math.log(max(n, 2))))
 
 
+def _cover_edges(H: Hypergraph, us: np.ndarray, vs: np.ndarray) -> list[tuple[int, ...]]:
+    """The lexicographically smallest edge covering each pair (us[i], vs[i]),
+    found by one binary search over H's covered-pair codes; raises
+    InputError naming the first pair that no edge covers."""
+    codes, first = H._pairs
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    key = lo * H.n + hi
+    pos = np.searchsorted(codes, key)
+    hit = (lo >= 0) & (hi < H.n) & (pos < codes.size)
+    hit[hit] = codes[pos[hit]] == key[hit]
+    if not hit.all():
+        i = int(hit.argmin())
+        raise InputError(f"pair ({us[i]}, {vs[i]}) is not covered by any edge")
+    return [H.edges[i] for i in first[pos].tolist()]
+
+
 def lift_path(H: Hypergraph, vseq) -> WeakPath:
     """Vertex sequence -> WeakPath, choosing for each consecutive pair the
     lexicographically smallest covering hyperedge."""
     vseq = [int(v) for v in vseq]
-    cover = H.cover_index
-    edges = []
-    for u, v in zip(vseq, vseq[1:]):
-        key = (u, v) if u < v else (v, u)
-        e = cover.get(key)
-        if e is None:
-            raise InputError(f"pair ({u}, {v}) is not covered by any edge")
-        edges.append(e)
-    return WeakPath(tuple(vseq), tuple(edges))
+    vs = np.array(vseq, dtype=np.int64)
+    return WeakPath(tuple(vseq), tuple(_cover_edges(H, vs[:-1], vs[1:])))
 
 
 def lift_cycle(H: Hypergraph, vseq) -> WeakCycle:
@@ -401,16 +411,9 @@ def lift_cycle(H: Hypergraph, vseq) -> WeakCycle:
     vseq = [int(v) for v in vseq]
     if len(vseq) < 3:
         raise InputError("cycle too short")
-    cover = H.cover_index
-    edges = []
-    for k in range(len(vseq)):
-        u, v = vseq[k - 1], vseq[k]
-        key = (u, v) if u < v else (v, u)
-        e = cover.get(key)
-        if e is None:
-            raise InputError(f"pair ({u}, {v}) is not covered by any edge")
-        edges.append(e)
+    vs = np.array(vseq, dtype=np.int64)
     # edges[k] covers (v_{k-1}, v_k); cycle edges are 1-based e_1..e_l
+    edges = _cover_edges(H, np.roll(vs, 1), vs)
     return WeakCycle(tuple(vseq), tuple(edges[1:] + edges[:1]))
 
 
@@ -446,6 +449,22 @@ def _forced_edge_obstruction(H: Hypergraph, v1) -> str | None:
     return None
 
 
+def _spans_connected(masks, v1) -> bool:
+    """True iff breadth-first search over the shadow bitmasks from v1[0]
+    reaches all of V1. The search never leaves V1, which holds every edge,
+    so this agrees with is_connected_on(H, v1)."""
+    seen = frontier = 1 << v1[0]
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen.bit_count() == len(v1)
+
+
 def rotation_extension_search(
     H: Hypergraph,
     budget: int | None = None,
@@ -468,7 +487,7 @@ def rotation_extension_search(
     v1 = non_isolated_vertices(H)
     if len(v1) < 3:
         reason = f"only {len(v1)} non-isolated vertices (cycles need 3)"
-    elif not is_connected_on(H, v1):
+    elif not _spans_connected(H.shadow.adj_masks, v1):
         reason = "non-isolated vertices are disconnected"
     else:
         reason = _forced_edge_obstruction(H, v1)

@@ -320,6 +320,28 @@ def test_process_tiny_universe_is_degenerate():
         assert int(row_tau) == int(row_t) == 1
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize(
+    "kind, name, opts",
+    [
+        # the sparse G(n,p) sampler and the rotation engine, unmasked
+        ("threshold", "threshold_n200_gold.csv",
+         {"n": "200", "d": "3", "c_grid": "-1,0,1,2", "trials": "64"}),
+        ("gnm", "gnm_n200_gold.csv",
+         {"n": "200", "d": "3", "c_grid": "-1,0,1,2", "trials": "64"}),
+        # the edge process decided exactly on every prefix from tau on
+        ("process", "process_gold.csv", {"n": "16", "d": "3", "trials": "24"}),
+    ],
+)
+def test_table_matches_gold_file(kind, name, opts):
+    # written by `weakham exp <kind>` with these options and --seed 20261018
+    cfg = make_config(kind, dict(opts, seed="20261018"))
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        assert run_experiment(cfg).to_csv_text() == fh.read()
+
+
 def test_expansion_run_reports():
     cfg = make_config(
         "expansion",

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakham import (
@@ -23,9 +24,12 @@ from weakham import (
     load_hypergraph,
     neighbors,
     non_isolated_vertices,
+    lift_cycle,
+    lift_path,
     parse_hypergraph,
     shadow_graph,
 )
+from weakham.weakpaths import _spans_connected
 
 from conftest import complete_hypergraph, hypergraphs
 
@@ -263,6 +267,162 @@ def test_is_connected_on():
     assert not is_connected_on(h, range(8))
     assert is_connected_on(h, {3})
     assert is_connected_on(h, frozenset())
+
+
+# ------------------------------------- array-built structures vs scalar loops
+#
+# The degrees, shadow, masks, cover edges and V1 connectivity are built from
+# the (m, d) row array with numpy; these are the plain loops they replace.
+
+
+def _scalar_degrees(h):
+    deg = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            deg[v] += 1
+    return tuple(deg)
+
+
+def _scalar_adj(h):
+    nbr = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for a in range(h.d):
+            for b in range(a + 1, h.d):
+                nbr[e[a]].add(e[b])
+                nbr[e[b]].add(e[a])
+    return tuple(tuple(sorted(s)) for s in nbr)
+
+
+def _scalar_cover(h):
+    idx = {}
+    for e in h.edges:
+        for a in range(h.d):
+            for b in range(a + 1, h.d):
+                idx.setdefault((e[a], e[b]), e)
+    return idx
+
+
+def _scalar_lift(cover, pairs):
+    """Cover edges of pairs, or the (u, v) of the first uncovered pair."""
+    edges = []
+    for u, v in pairs:
+        e = cover.get((u, v) if u < v else (v, u))
+        if e is None:
+            return (u, v)
+        edges.append(e)
+    return edges
+
+
+def _scalar_connected(h, W):
+    ws = sorted(set(W))
+    if len(ws) <= 1:
+        return True
+    seen, stack = {ws[0]}, [ws[0]]
+    inside = [e for e in h.edges if set(e) <= set(ws)]
+    while stack:
+        v = stack.pop()
+        for e in inside:
+            if v in e:
+                for w in e:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return seen == set(ws)
+
+
+@st.composite
+def row_hypergraphs(draw):
+    """(hypergraph, vertex walk): n in [0, 40], d in [2, 4], n < d and empty
+    edge sets included; built by from_edges or, from the rows in draw
+    order, by the row constructor the samplers use."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 40))
+    edges = []
+    if n >= d:
+        edges = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True),
+            unique_by=lambda e: tuple(sorted(e)), max_size=60,
+        ))
+    if draw(st.booleans()):
+        rows = np.sort(np.array(edges, dtype=np.int64).reshape(-1, d), axis=1)
+        h = Hypergraph._from_rows(n, d, rows)
+    else:
+        h = Hypergraph.from_edges(n, d, edges)
+    walk = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)) if n else []
+    return h, walk
+
+
+@settings(max_examples=300)
+@given(row_hypergraphs())
+def test_array_structures_match_scalar_loops(case):
+    h, walk = case
+    adj = _scalar_adj(h)
+    cover = _scalar_cover(h)
+    assert h.rows.shape == (h.m, h.d) and h.rows.tolist() == [list(e) for e in h.edges]
+    assert h._degrees == _scalar_degrees(h)
+    assert h.shadow.adj == adj
+    assert h.shadow.adj_masks == tuple(sum(1 << w for w in nbrs) for nbrs in adj)
+    assert h.cover_index == cover
+    v1 = non_isolated_vertices(h)
+    assert is_connected_on(h, v1) == _scalar_connected(h, v1)
+    if v1:
+        assert _spans_connected(h.shadow.adj_masks, v1) == _scalar_connected(h, v1)
+    if not walk:
+        return
+    # covered walks lift through the lexicographically smallest edges, and
+    # the first uncovered pair is named in the error
+    want = _scalar_lift(cover, list(zip(walk, walk[1:])))
+    if isinstance(want, list):
+        assert lift_path(h, walk).edges == tuple(want)
+    else:
+        with pytest.raises(InputError, match=rf"pair \({want[0]}, {want[1]}\) is not covered"):
+            lift_path(h, walk)
+    if len(walk) >= 3:
+        want = _scalar_lift(cover, list(zip(walk[-1:] + walk[:-1], walk)))
+        if isinstance(want, list):
+            assert lift_cycle(h, walk).edges == tuple(want[1:] + want[:1])
+        else:
+            with pytest.raises(InputError, match=rf"pair \({want[0]}, {want[1]}\) is not covered"):
+                lift_cycle(h, walk)
+
+
+def test_lift_rejects_out_of_range_pairs():
+    # code u*n + v of an out-of-range pair would alias a covered pair
+    h = H(4, 2, [(1, 2)])
+    with pytest.raises(InputError, match=r"pair \(0, 6\) is not covered"):
+        lift_path(h, [0, 6])
+    with pytest.raises(InputError, match=r"pair \(-1, 2\) is not covered"):
+        lift_path(h, [-1, 2])
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (5, [(0, 1, 2), (1, 2, 5)]),  # vertex out of range
+        (5, [(0, 1, 2), (-1, 2, 3)]),  # negative vertex
+        (5, [(0, 2, 1), (1, 2, 3)]),  # not ascending
+        (5, [(0, 1, 1), (1, 2, 3)]),  # repeated vertex
+        (5, [(1, 2, 3), (0, 1, 2), (1, 2, 3)]),  # duplicate row
+    ],
+)
+def test_row_constructor_raises_like_public_constructor(n, rows):
+    arr = np.array(rows, dtype=np.int64)
+    with pytest.raises(InputError) as public:
+        Hypergraph(n, 3, tuple(sorted(rows)))
+    with pytest.raises(InputError) as internal:
+        Hypergraph._from_rows(n, 3, arr)
+    assert str(internal.value) == str(public.value)
+
+
+def test_constructor_reports_the_first_bad_edge_in_list_order():
+    with pytest.raises(InputError, match=r"edge \(0, 1, 7\) has a vertex outside"):
+        Hypergraph(5, 3, ((0, 1, 7), (0, 1)))
+    with pytest.raises(InputError, match=r"edge \(0, 1\) has arity 2, expected 3"):
+        Hypergraph(5, 3, ((0, 1, 2), (0, 1), (0, 1, 7)))
+    with pytest.raises(InputError, match="not sorted lexicographically"):
+        Hypergraph(5, 3, ((1, 2, 3), (0, 1, 2)))
+    with pytest.raises(InputError, match="64-bit integers"):
+        Hypergraph(5, 3, (("0", "1", "2"),))
 
 
 # ----------------------------------------------------------------- text format

@@ -391,3 +391,29 @@ def test_covered_vertices_match_gnp_draw():
         h = sample_gnp(params, SeededRng(11, t))
         assert mask.dtype == np.bool_ and mask.shape == (40,)
         assert set(np.flatnonzero(mask)) == set(non_isolated_vertices(h))
+
+
+@pytest.mark.parametrize(
+    "n, d, p",
+    [
+        (12, 3, 0.0),
+        (12, 3, 1.0),
+        (12, 3, 0.3),  # dense branch: all C(n,d) d-sets are enumerated
+        (20, 4, 0.5),
+        (200, 3, 2e-4),  # sparse branch: rows are rejection-sampled
+        (1000, 2, 2e-4),
+    ],
+)
+def test_samplers_equal_from_edges_of_their_rows(n, d, p):
+    for t in range(3):
+        rng = SeededRng(31, t)
+        rows = randmodels._gnp_rows(GnpParams(n, d, p), rng)
+        h = sample_gnp(GnpParams(n, d, p), rng)
+        want = Hypergraph.from_edges(n, d, rows.tolist())
+        assert h == want and np.array_equal(h.rows, want.rows)
+        assert h.edges == tuple(sorted(tuple(int(v) for v in row) for row in rows))
+        m = len(rows)
+        gnm_rows = randmodels._sample_distinct_rows(n, d, m, rng.generator())
+        g = sample_gnm(GnmParams(n, d, m), rng)
+        assert g == Hypergraph.from_edges(n, d, gnm_rows.tolist())
+        assert np.array_equal(g.rows, Hypergraph.from_edges(n, d, gnm_rows.tolist()).rows)
