@@ -10,7 +10,7 @@ sets and booster edges, and runs reproducible threshold experiments against
 the limit law exp(-exp(-c)).
 """
 
-from .errors import CapabilityError, InputError, ScheduleInfeasibleError
+from .errors import CapabilityError, InputError
 from .expansion import (
     ExpansionReport,
     GreedyProbeResult,
@@ -63,7 +63,6 @@ from .oracle import (
     exact_spanning_cycle_on_v1,
     exact_weak_hamiltonian,
     has_weak_cycle_of_length,
-    longest_weak_path_exact,
     weak_cycle_of_length,
 )
 from .plotting import emit_plot, render_threshold_svg
@@ -71,34 +70,25 @@ from .randmodels import (
     GnmParams,
     GnpParams,
     SeededRng,
-    SprinkleSchedule,
-    default_sprinkle_constant,
     edge_process,
     limiting_probability,
     m_from_c,
-    max_sprinkle_constant,
     p_from_c,
     sample_gnm,
     sample_gnp,
     sampled_covered_vertices,
-    sprinkle_schedule,
-    union_overlay,
 )
 from .weakpaths import (
-    DlvResult,
     PosaSet,
-    ProjectionGraph,
     SearchOutcome,
     ValidationResult,
     WeakCycle,
     WeakPath,
     booster_edges,
     booster_lower_bound,
-    dlv_long_path,
     lift_cycle,
     lift_path,
     posa_set,
-    projection_graph,
     rotate,
     rotation_extension_search,
     stalled_path,
@@ -114,7 +104,6 @@ __all__ = [
     # errors
     "InputError",
     "CapabilityError",
-    "ScheduleInfeasibleError",
     # hypercore
     "Hypergraph",
     "ShadowGraph",
@@ -141,19 +130,12 @@ __all__ = [
     "sample_gnp",
     "sample_gnm",
     "sampled_covered_vertices",
-    "union_overlay",
     "edge_process",
-    "SprinkleSchedule",
-    "sprinkle_schedule",
-    "max_sprinkle_constant",
-    "default_sprinkle_constant",
     # weak paths and cycles
     "WeakPath",
     "WeakCycle",
     "ValidationResult",
     "PosaSet",
-    "ProjectionGraph",
-    "DlvResult",
     "SearchOutcome",
     "validate",
     "rotate",
@@ -162,8 +144,6 @@ __all__ = [
     "booster_lower_bound",
     "rotation_extension_search",
     "stalled_path",
-    "projection_graph",
-    "dlv_long_path",
     "lift_path",
     "lift_cycle",
     "weak_to_json",
@@ -173,7 +153,6 @@ __all__ = [
     "decide_weak_hamiltonian",
     "exact_weak_hamiltonian",
     "exact_spanning_cycle_on_v1",
-    "longest_weak_path_exact",
     "has_weak_cycle_of_length",
     "weak_cycle_of_length",
     # expansion

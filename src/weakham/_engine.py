@@ -2,7 +2,7 @@
 
 Works purely at the graph level (vertex ints, adjacency tuples, bitmask
 membership); used by weakpaths both for spanning-cycle search on the shadow
-graph and for long-path construction inside projections. Lifting vertex
+graph and for the stalled long paths of stalled_path. Lifting vertex
 sequences back to weak paths/cycles with concrete hyperedges happens in
 weakpaths, not here.
 

@@ -31,15 +31,14 @@ from .hypercore import (
     non_isolated_vertices,
 )
 from .randmodels import SeededRng
-from .weakpaths import (SearchOutcome, WeakCycle, WeakPath, lift_cycle, lift_path,
-                        rotation_extension_search, validate, weak_to_json)
+from .weakpaths import (SearchOutcome, WeakCycle, lift_cycle, rotation_extension_search,
+                        validate, weak_to_json)
 
 __all__ = [
     "OracleVerdict",
     "decide_weak_hamiltonian",
     "exact_weak_hamiltonian",
     "exact_spanning_cycle_on_v1",
-    "longest_weak_path_exact",
     "has_weak_cycle_of_length",
     "weak_cycle_of_length",
     "DP_MAX_VERTICES",
@@ -48,7 +47,6 @@ __all__ = [
 
 DP_MAX_VERTICES = 20
 DIRECT_MAX_VERTICES = 16
-_LONGEST_MAX_VERTICES = 18
 
 
 @dataclass(frozen=True)
@@ -255,31 +253,6 @@ def exact_spanning_cycle_on_v1(H: Hypergraph) -> OracleVerdict:
     assert check.ok, f"oracle produced an invalid witness: {check.violation}"
     assert witness.spanned == frozenset(v1)
     return OracleVerdict("yes", witness, "dp")
-
-
-def longest_weak_path_exact(H: Hypergraph) -> WeakPath:
-    """A longest weak path in H by exhaustive subset dp on the shadow
-    (n <= 18). Deterministic tie-breaking: among maximum-length paths, the
-    numerically smallest vertex bitmask and then the smallest endpoint win.
-    An edgeless H yields the single-vertex path at vertex 0."""
-    if H.n < 1:
-        raise InputError("need at least one vertex")
-    if H.n > _LONGEST_MAX_VERTICES:
-        raise CapabilityError(
-            f"exhaustive longest path handles n <= {_LONGEST_MAX_VERTICES}, "
-            f"got n = {H.n}"
-        )
-    masks = list(H.shadow.adj_masks)
-    dp = _bitdp.endpoints(masks, H.n, (1 << H.n) - 1, H.n)
-    for k in range(H.n, 0, -1):
-        T = _bitdp.layer(H.n, k)
-        found = T[dp[T] != 0]
-        if found.size:
-            S = int(found[0])
-            break
-    path = lift_path(H, _backtrack(dp, masks, S, _lowest_bit(int(dp[S]))))
-    assert validate(path, H).ok
-    return path
 
 
 def weak_cycle_of_length(H: Hypergraph, ell: int) -> WeakCycle | None:

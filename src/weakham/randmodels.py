@@ -26,24 +26,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, InputError, ScheduleInfeasibleError
+from .errors import CapabilityError, InputError
 from .hypercore import Hypergraph
 
 __all__ = [
     "GnpParams",
     "GnmParams",
     "SeededRng",
-    "SprinkleSchedule",
     "p_from_c",
     "m_from_c",
     "limiting_probability",
     "sample_gnp",
     "sample_gnm",
-    "union_overlay",
     "edge_process",
-    "default_sprinkle_constant",
-    "max_sprinkle_constant",
-    "sprinkle_schedule",
 ]
 
 
@@ -55,6 +50,12 @@ class SeededRng:
 
     master_seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        if self.master_seed < 0 or self.stream < 0:
+            raise InputError(
+                f"seed and stream must be >= 0, got seed={self.master_seed}, stream={self.stream}"
+            )
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=[int(self.master_seed), int(self.stream)])
@@ -251,20 +252,6 @@ def sampled_covered_vertices(params: GnpParams, rng: SeededRng) -> np.ndarray:
     return covered
 
 
-def union_overlay(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
-    """Edge-set union of two hypergraphs on the same (n, d).
-
-    For independent G(n,p_a) and G(n,p_b) the overlay is distributed as
-    G(n, 1-(1-p_a)(1-p_b)) — the sprinkling primitive.
-    """
-    if H1.n != H2.n or H1.d != H2.d:
-        raise InputError(
-            f"overlay mismatch: ({H1.n},{H1.d}) vs ({H2.n},{H2.d})"
-        )
-    merged = sorted(set(H1.edges) | set(H2.edges))
-    return Hypergraph(n=H1.n, d=H1.d, edges=tuple(merged))
-
-
 def _process_rows(n: int, d: int, rng: SeededRng) -> np.ndarray:
     """The edge process as a (C(n,d), d) int64 array: row i is the i-th
     edge of the stream."""
@@ -281,110 +268,3 @@ def edge_process(n: int, d: int, rng: SeededRng) -> tuple[tuple[int, ...], ...]:
     CapabilityError when C(n,d) is above the enumeration limit.
     """
     return tuple(map(tuple, _process_rows(n, d, rng).tolist()))
-
-
-# --- sprinkling schedule -------------------------------------------------------
-
-
-def max_sprinkle_constant(d: int) -> float:
-    """Upper limit for the booster-density constant: (1-(1-1/D)^d)/(D*d!)
-    with D = 3^d. Valid schedules must use C strictly below this."""
-    D = 3**d
-    return (1.0 - (1.0 - 1.0 / D) ** d) / (D * math.factorial(d))
-
-
-def default_sprinkle_constant(d: int) -> float:
-    """0.9 * max_sprinkle_constant(d): strictly inside the admissible range."""
-    return 0.9 * max_sprinkle_constant(d)
-
-
-@dataclass(frozen=True)
-class SprinkleSchedule:
-    """Two-stage edge-probability ladder for incremental sprinkling.
-
-    Fields follow the construction: target p at offset c; a lower anchor
-    p1 = p - (ln n)^3/n^d; a base p0 = p1 - (2^(d+4)/C)*ln n/n^d; increment
-    dp = (2/C)*ln n/n^d; k0 = ceil(2^(d+3)*n/ln n) steps from p0 and
-    k1 = ceil(ln n) steps from p1.
-
-    The feasibility chain p0 < p0 + k0*dp < p1 < p1 + k1*dp < p is *checked*,
-    not assumed: with these literal formulas the first chain fails for every
-    n (k0*dp exceeds p1-p0 by a factor n/ln n), so sprinkle_schedule() raises
-    ScheduleInfeasibleError naming the failed inequality. build_unchecked()
-    exposes the raw field values for inspection regardless.
-    """
-
-    n: int
-    d: int
-    c: float
-    C: float
-    p: float
-    p1: float
-    p0: float
-    dp: float
-    k0: int
-    k1: int
-
-    @staticmethod
-    def build_unchecked(n: int, d: int, c: float, C: float | None = None) -> "SprinkleSchedule":
-        if n < 2:
-            raise InputError(f"n must be >= 2, got {n}")
-        if d < 2:
-            raise InputError(f"d must be >= 2, got {d}")
-        if C is None:
-            C = default_sprinkle_constant(d)
-        if not (0.0 < C < max_sprinkle_constant(d)):
-            raise InputError(
-                f"C={C} outside (0, {max_sprinkle_constant(d)}) for d={d}"
-            )
-        ln = math.log(n)
-        p = p_from_c(n, d, c)
-        p1 = p - ln**3 / n**d
-        p0 = p1 - (2 ** (d + 4) / C) * ln / n**d
-        dp = (2.0 / C) * ln / n**d
-        k0 = math.ceil(2 ** (d + 3) * n / ln)
-        k1 = math.ceil(ln)
-        return SprinkleSchedule(n=n, d=d, c=c, C=C, p=p, p1=p1, p0=p0, dp=dp, k0=k0, k1=k1)
-
-    @property
-    def p_prime(self) -> float:
-        """Effective probability of the k0-fold overlay on top of p0:
-        1-(1-p0)(1-dp)^k0. Union-bounded by p0 + k0*dp."""
-        log_term = self.k0 * math.log1p(-self.dp)
-        return 1.0 - (1.0 - self.p0) * math.exp(log_term)
-
-    def check(self) -> None:
-        """Raise ScheduleInfeasibleError naming the first failed condition."""
-        for name, value in (
-            ("p in (0,1)", self.p),
-            ("p1 in (0,1)", self.p1),
-            ("p0 in (0,1)", self.p0),
-            ("dp in (0,1)", self.dp),
-            ("p_prime in (0,1)", self.p_prime),
-        ):
-            if not (0.0 < value < 1.0):
-                raise ScheduleInfeasibleError(name, f"value = {value}")
-        if not (self.p0 + self.k0 * self.dp < self.p1):
-            raise ScheduleInfeasibleError(
-                "p0 + k0*dp < p1",
-                f"p0 + k0*dp = {self.p0 + self.k0 * self.dp}, p1 = {self.p1}",
-            )
-        if not (self.p1 + self.k1 * self.dp < self.p):
-            raise ScheduleInfeasibleError(
-                "p1 + k1*dp < p",
-                f"p1 + k1*dp = {self.p1 + self.k1 * self.dp}, p = {self.p}",
-            )
-
-
-def sprinkle_schedule(n: int, d: int, c: float, C: float | None = None) -> SprinkleSchedule:
-    """Build and validate a sprinkling schedule.
-
-    Note: with the literal step count k0 = ceil(2^(d+3)*n/ln n) and increment
-    dp = (2/C)*ln n/n^d, the chain p0 + k0*dp < p1 requires n < ln n and so
-    fails for every n >= 2; this function then raises ScheduleInfeasibleError
-    naming that inequality. The checked construction is kept (rather than a
-    silently "repaired" one) so the infeasibility is visible and tested.
-    """
-    sched = SprinkleSchedule.build_unchecked(n, d, c, C)
-    sched.check()
-    return sched

@@ -1,5 +1,5 @@
 """Weak Berge paths and cycles, rotations, Pósa closures, booster edges,
-rotation-extension search, and a two-block constructive long-path builder.
+and rotation-extension search.
 
 A weak path alternates distinct vertices with hyperedges, where consecutive
 vertices must lie together in the connecting edge; edges may repeat. A weak
@@ -48,8 +48,6 @@ __all__ = [
     "WeakCycle",
     "ValidationResult",
     "PosaSet",
-    "ProjectionGraph",
-    "DlvResult",
     "SearchOutcome",
     "validate",
     "rotate",
@@ -58,8 +56,6 @@ __all__ = [
     "booster_lower_bound",
     "rotation_extension_search",
     "stalled_path",
-    "projection_graph",
-    "dlv_long_path",
     "lift_path",
     "lift_cycle",
     "weak_to_json",
@@ -539,152 +535,6 @@ def stalled_path(
         # in one component), so growth always reaches length >= 1
         raise AssertionError("stalled path unexpectedly trivial")
     return lift_path(H, best)
-
-
-# --- two-block constructive long path ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectionGraph:
-    """Graph projection of a block of vertices: {u, v} adjacent iff some
-    hyperedge meets the block in exactly {u, v}. `side` is "low" (first
-    floor(n/2) vertices) or "high" (last floor(n/2)); labels are original."""
-
-    side: str
-    vertices: tuple[int, ...]
-    adj: tuple[tuple[int, ...], ...]
-    pair_cover: Mapping[tuple[int, int], tuple[int, ...]] = field(repr=False)
-
-
-def projection_graph(H: Hypergraph, side: str) -> ProjectionGraph:
-    if side not in ("low", "high"):
-        raise InputError(f"side must be 'low' or 'high', got {side!r}")
-    half = H.n // 2
-    if side == "low":
-        block = tuple(range(half))
-        inside = lambda v: v < half
-    else:
-        block = tuple(range(H.n - half, H.n))
-        inside = lambda v: v >= H.n - half
-    index = {v: k for k, v in enumerate(block)}
-    nbr: list[set[int]] = [set() for _ in block]
-    pair_cover: dict[tuple[int, int], tuple[int, ...]] = {}
-    for e in H.edges:  # lex order: first covering edge wins
-        ins = [v for v in e if inside(v)]
-        if len(ins) == 2:
-            u, v = ins
-            nbr[index[u]].add(v)
-            nbr[index[v]].add(u)
-            pair_cover.setdefault((u, v), e)
-    return ProjectionGraph(
-        side=side,
-        vertices=block,
-        adj=tuple(tuple(sorted(s)) for s in nbr),
-        pair_cover=pair_cover,
-    )
-
-
-@dataclass(frozen=True)
-class DlvResult:
-    """Output of dlv_long_path: the built weak path, whether the two
-    half-paths were bridged, their lengths, and the window size used."""
-
-    path: WeakPath
-    bridged: bool
-    low_length: int
-    high_length: int
-    window: int
-
-
-def _projection_longest(proj: ProjectionGraph, gen, budget: int) -> list[int]:
-    """Stalled long path inside a projection, in original vertex labels."""
-    index = {v: k for k, v in enumerate(proj.vertices)}
-    local_adj = tuple(
-        tuple(index[w] for w in nbrs) for nbrs in proj.adj
-    )
-    masks = tuple(sum(1 << w for w in nbrs) for nbrs in local_adj)
-    non_isolated = [k for k, nbrs in enumerate(local_adj) if nbrs]
-    if not non_isolated:
-        return [proj.vertices[0]] if proj.vertices else []
-    _, best, _, _, _ = _engine.search(
-        local_adj, masks, non_isolated, gen, budget, attempts=3, close=False
-    )
-    return [proj.vertices[k] for k in best]
-
-
-def _lift_projection_path(proj: ProjectionGraph, vseq: list[int]) -> list[tuple[int, ...]]:
-    edges = []
-    for u, v in zip(vseq, vseq[1:]):
-        key = (u, v) if u < v else (v, u)
-        edges.append(proj.pair_cover[key])
-    return edges
-
-
-def dlv_long_path(
-    H: Hypergraph,
-    window: int | None = None,
-    rng: SeededRng | None = None,
-    budget: int | None = None,
-) -> DlvResult:
-    """Constructive long weak path: project onto the low and high vertex
-    blocks, find a long path in each projection by rotation-extension, and
-    bridge the tail window of the low path to the head window of the high
-    path through any hyperedge meeting both.
-
-    The two blocks are disjoint (low = first floor(n/2) ids, high = last
-    floor(n/2)), so the concatenation is a valid weak path. If no hyperedge
-    joins the two windows, the longer half-path is returned with
-    bridged=False. The achieved length is reported, not guaranteed.
-    """
-    if H.n < 4:
-        raise InputError(f"need n >= 4, got {H.n}")
-    if window is None:
-        window = math.ceil(H.n / math.log(H.n))
-    if window < 1:
-        raise InputError(f"window must be >= 1, got {window}")
-    if budget is None:
-        budget = default_rotation_budget(H.n)
-    gen = (rng or SeededRng(0, 0)).generator()
-    low = projection_graph(H, "low")
-    high = projection_graph(H, "high")
-    p_low = _projection_longest(low, gen, budget)
-    p_high = _projection_longest(high, gen, budget)
-    low_len = max(0, len(p_low) - 1)
-    high_len = max(0, len(p_high) - 1)
-
-    tail = p_low[-window:]
-    head = p_high[:window]
-    tail_set, head_set = set(tail), set(head)
-    bridge = None
-    for e in H.edges:
-        if any(v in tail_set for v in e) and any(v in head_set for v in e):
-            bridge = e
-            break
-    if bridge is None or len(p_low) < 2 or len(p_high) < 2:
-        half, proj = (p_low, low) if low_len >= high_len else (p_high, high)
-        if len(half) < 2:
-            raise InputError("no projection path of positive length exists")
-        path = WeakPath(tuple(half), tuple(_lift_projection_path(proj, half)))
-        return DlvResult(
-            path=path, bridged=False, low_length=low_len, high_length=high_len,
-            window=window,
-        )
-    pos_low = {v: k for k, v in enumerate(p_low)}
-    pos_high = {v: k for k, v in enumerate(p_high)}
-    x = max((v for v in bridge if v in tail_set), key=pos_low.__getitem__)
-    y = min((v for v in bridge if v in head_set), key=pos_high.__getitem__)
-    left = p_low[: pos_low[x] + 1]
-    right = p_high[pos_high[y]:]
-    edges = (
-        _lift_projection_path(low, left)
-        + [bridge]
-        + _lift_projection_path(high, right)
-    )
-    path = WeakPath(tuple(left + right), tuple(edges))
-    return DlvResult(
-        path=path, bridged=True, low_length=low_len, high_length=high_len,
-        window=window,
-    )
 
 
 # --- JSON serialization --------------------------------------------------------

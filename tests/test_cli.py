@@ -85,6 +85,20 @@ def test_gen_rejects_bad_flags(capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_is_input_error(tmp_path, capsys):
+    out = os.fspath(tmp_path / "h.txt")
+    rc = run_cli("gen", "--n", "10", "--d", "3", "--model", "gnp",
+                 "--p", "0.1", "--seed", "-1", "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed and stream must be >= 0, got seed=-1, stream=0\n"
+    assert not os.path.exists(out)
+    rc = run_cli("exp", "threshold", "--n", "12", "--trials", "2", "--c-grid=0",
+                 "--seed=-1", "--out", out)
+    assert rc == 1
+    assert "error: seed and stream must be >= 0, got seed=-1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_gen_beyond_sampler_capability_is_exit_2(tmp_path, capsys):
     out = os.fspath(tmp_path / "h.txt")
     rc = run_cli("gen", "--n", "231", "--d", "3", "--model", "gnp",

@@ -117,6 +117,8 @@ def test_make_config_rejections():
         make_config("sprinkle", {})
     with pytest.raises(InputError, match="says experiment='gnm'"):
         make_config("threshold", {"experiment": "gnm"})
+    with pytest.raises(InputError, match="samples must be >= 0"):
+        make_config("expansion", {"n": "20", "c_grid": "0", "samples": "-5"})
 
 
 # --------------------------------------------------------------------- tables

@@ -1,6 +1,6 @@
 """Exhaustive small-instance deciders: weak Hamiltonicity by two independent
 methods, the verdict policy the experiments share, spanning cycles on the
-covered vertex set, longest weak paths, and fixed-length weak cycles."""
+covered vertex set, and fixed-length weak cycles."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from weakham import (
     exact_weak_hamiltonian,
     has_weak_cycle_of_length,
     isolated_vertices,
-    longest_weak_path_exact,
     non_isolated_vertices,
     sample_gnp,
     validate,
@@ -235,67 +234,6 @@ def test_spanning_on_v1_capability_limit():
     chain = [tuple(range(i, i + 3)) for i in range(19)]
     with pytest.raises(CapabilityError, match=r"handles \|V1\| <= 20"):
         exact_spanning_cycle_on_v1(H(21, 3, chain))
-
-
-# --------------------------------------------------------------- longest path
-
-
-def test_longest_path_two_disjoint_edges():
-    Hs = H(6, 3, [(0, 1, 2), (3, 4, 5)])
-    P = longest_weak_path_exact(Hs)
-    assert P.h == 2  # a single edge carries a path on its 3 vertices
-    assert validate(P, Hs).ok
-
-
-def test_longest_path_complete_is_hamilton_path():
-    Hs = complete_hypergraph(7, 3)
-    P = longest_weak_path_exact(Hs)
-    assert P.h == 6
-    assert P.vertex_set == frozenset(range(7))
-
-
-def test_longest_path_edgeless_is_a_vertex():
-    P = longest_weak_path_exact(H(4, 3, []))
-    assert P.h == 0
-
-
-def test_longest_path_never_beaten_by_explicit_paths():
-    for s in range(10):
-        Hs = _gnp(7, 3, 0.15, seed=6000 + s)
-        P = longest_weak_path_exact(Hs)
-        assert validate(P, Hs).ok
-        best = _longest_path_brute(Hs)
-        assert P.h == best
-
-
-def _longest_path_brute(Hs):
-    pairs = {
-        frozenset({u, v})
-        for e in Hs.edges
-        for u, v in combinations(e, 2)
-    }
-    verts = range(Hs.n)
-    best = 0
-    for k in range(2, Hs.n + 1):
-        found = False
-        for sub in permutations(verts, k):
-            if all(
-                frozenset({sub[i], sub[i + 1]}) in pairs
-                for i in range(k - 1)
-            ):
-                found = True
-                break
-        if found:
-            best = k - 1
-        else:
-            break
-    return best
-
-
-def test_longest_path_capability_limit():
-    chain = [tuple(range(i, i + 3)) for i in range(17)]
-    with pytest.raises(CapabilityError, match="handles n <= 18"):
-        longest_weak_path_exact(H(19, 3, chain))
 
 
 # --------------------------------------------------------- cycles of length l

@@ -1,11 +1,9 @@
-"""Samplers and parameter formulas: G(n,p), G(n,m), overlays, the edge
-process, threshold parameterizations, and the sprinkling schedule."""
+"""Samplers and parameter formulas: G(n,p), G(n,m), the edge process and
+threshold parameterizations."""
 
 from __future__ import annotations
 
-import copy
 import math
-import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -19,21 +17,15 @@ from weakham import (
     GnpParams,
     Hypergraph,
     InputError,
-    ScheduleInfeasibleError,
     SeededRng,
-    SprinkleSchedule,
-    default_sprinkle_constant,
     edge_process,
     limiting_probability,
     m_from_c,
-    max_sprinkle_constant,
     non_isolated_vertices,
     p_from_c,
     sample_gnm,
     sample_gnp,
     sampled_covered_vertices,
-    sprinkle_schedule,
-    union_overlay,
 )
 from weakham import randmodels
 
@@ -194,45 +186,6 @@ def test_gnm_pairs_uniform():
         assert abs(pair_count - N_MC * prob) <= 3 * sigma
 
 
-# --------------------------------------------------------------- union_overlay
-
-
-def test_overlay_identity_and_idempotence():
-    h1 = Hypergraph.from_edges(5, 3, [(0, 1, 2), (1, 2, 3)])
-    empty = Hypergraph.from_edges(5, 3, [])
-    assert union_overlay(h1, empty) == h1
-    assert union_overlay(h1, h1) == h1
-
-
-def test_overlay_union():
-    h1 = Hypergraph.from_edges(5, 3, [(0, 1, 2)])
-    h2 = Hypergraph.from_edges(5, 3, [(1, 2, 3), (0, 1, 2)])
-    assert union_overlay(h1, h2).edges == ((0, 1, 2), (1, 2, 3))
-
-
-def test_overlay_mismatched_rejected():
-    h1 = Hypergraph.from_edges(5, 3, [])
-    with pytest.raises(InputError):
-        union_overlay(h1, Hypergraph.from_edges(6, 3, []))
-    with pytest.raises(InputError):
-        union_overlay(h1, Hypergraph.from_edges(5, 4, []))
-
-
-def test_overlay_per_edge_probability():
-    # Overlay of two independent G(0.3) draws behaves as G(1-0.49) = G(0.51)
-    # per edge; check every one of the 10 potential edges across N_MC trials.
-    presence = Counter()
-    for t in range(N_MC):
-        a = sample_gnp(GnpParams(5, 3, 0.3), SeededRng(606, 2 * t))
-        b = sample_gnp(GnpParams(5, 3, 0.3), SeededRng(606, 2 * t + 1))
-        for e in union_overlay(a, b).edges:
-            presence[e] += 1
-    sigma = math.sqrt(N_MC * 0.51 * 0.49)
-    assert len(presence) == 10
-    for e_count in presence.values():
-        assert abs(e_count - N_MC * 0.51) <= 3 * sigma
-
-
 # ---------------------------------------------------------------- edge_process
 
 
@@ -311,66 +264,6 @@ def test_process_prefix_matches_gnm():
     _, pvalue, _, _ = stats.chi2_contingency(table)
     assert len(keys) == 45
     assert pvalue > 0.001
-
-
-# ----------------------------------------------------------- sprinkle schedule
-
-
-def test_schedule_constants():
-    d = 3
-    cap = (1 - (1 - 3.0**-d) ** d) / (3.0**d * math.factorial(d))
-    assert max_sprinkle_constant(d) == pytest.approx(cap, rel=1e-12)
-    assert default_sprinkle_constant(d) == pytest.approx(0.9 * cap, rel=1e-12)
-
-
-def test_schedule_literal_chain_always_infeasible():
-    # With the literal step count k0 = ceil(2^(d+3) n / ln n) and increment
-    # dp = (2/C) ln n / n^d, the cumulative k0*dp overshoots p1 - p0 by a
-    # factor ~ n/ln n at every n, so construction must always refuse.
-    for n in (10**6, 10**9):
-        with pytest.raises(ScheduleInfeasibleError) as exc:
-            sprinkle_schedule(n, 3, 0.0)
-        assert exc.value.failed == "p0 + k0*dp < p1"
-
-
-def test_schedule_small_n_rejected_on_range():
-    # Below feasibility the probabilities themselves leave (0,1): at n=100
-    # the p0 displacement term alone exceeds p, so the failure is named after
-    # the first range check rather than the chain inequality.
-    with pytest.raises(ScheduleInfeasibleError) as exc:
-        sprinkle_schedule(100, 3, 0.0)
-    assert exc.value.failed == "p0 in (0,1)"
-
-
-def test_schedule_error_survives_pickle_and_copy():
-    e = ScheduleInfeasibleError("eps < 1/2", "value = 3")
-    for clone in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
-        assert type(clone) is ScheduleInfeasibleError
-        assert str(clone) == str(e) == "schedule infeasible: eps < 1/2 violated (value = 3)"
-        assert clone.failed == "eps < 1/2"
-
-
-def test_schedule_unchecked_fields_at_large_n():
-    s = SprinkleSchedule.build_unchecked(10**6, 3, 0.0)
-    for value in (s.p, s.p1, s.p0, s.dp, s.p_prime):
-        assert 0.0 < value < 1.0
-    assert s.p0 < s.p1 < s.p
-    assert s.k0 == math.ceil(2**6 * 10**6 / math.log(10**6))
-    assert s.k1 == math.ceil(math.log(10**6))
-    assert s.C == pytest.approx(default_sprinkle_constant(3), rel=1e-12)
-
-
-def test_schedule_overlay_identity_union_bound():
-    # 1 - (1-p0)(1-dp)^k0 <= p0 + k0*dp for any instantiation.
-    for n in (10**3, 10**6):
-        s = SprinkleSchedule.build_unchecked(n, 3, 0.5)
-        assert s.p_prime <= s.p0 + s.k0 * s.dp
-        assert s.p_prime >= s.p0
-
-
-def test_schedule_oversized_constant_rejected():
-    with pytest.raises(InputError):
-        SprinkleSchedule.build_unchecked(10**6, 3, 0.0, C=max_sprinkle_constant(3) * 1.01)
 
 
 # ------------------------------------------------------------------ rng plumbing

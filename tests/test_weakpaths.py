@@ -1,6 +1,5 @@
 """Weak paths and cycles: structural validation, rotations, closure sets,
-booster enumeration, rotation-extension search, and the two-block long-path
-construction."""
+booster enumeration and rotation-extension search."""
 
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from weakham import (
     WeakPath,
     booster_edges,
     booster_lower_bound,
-    dlv_long_path,
     exact_spanning_cycle_on_v1,
     GnpParams,
     has_weak_cycle_of_length,
@@ -32,7 +30,6 @@ from weakham import (
     non_isolated_vertices,
     p_from_c,
     posa_set,
-    projection_graph,
     rotate,
     rotation_extension_search,
     sample_gnp,
@@ -512,106 +509,6 @@ def test_stalled_path_is_valid_and_saturated(Hs):
     ps = posa_set(Hs, P, P.first)
     assert ps.saturated
     assert ps.posa_inequality
-
-
-# ----------------------------------------------------------------- projection
-
-
-def test_projection_exactly_two_rule():
-    Hs = H(6, 3, [(0, 1, 2), (1, 2, 3), (3, 4, 5)])
-    low = projection_graph(Hs, "low")
-    assert low.vertices == (0, 1, 2)
-    # (0,1,2) lies inside the block (3 vertices), so only (1,2,3) projects
-    assert low.adj == ((), (2,), (1,))
-    assert low.pair_cover[(1, 2)] == (1, 2, 3)
-    high = projection_graph(Hs, "high")
-    assert high.vertices == (3, 4, 5)
-    assert high.adj == ((), (), ())
-
-
-def test_projection_first_covering_edge_wins():
-    Hs = H(6, 3, [(0, 1, 3), (0, 1, 4)])
-    low = projection_graph(Hs, "low")
-    assert low.pair_cover[(0, 1)] == (0, 1, 3)
-
-
-def test_projection_rejects_unknown_side():
-    with pytest.raises(InputError, match="side must be 'low' or 'high'"):
-        projection_graph(PATH_H, "middle")
-
-
-@given(hypergraphs(min_n=4, max_n=10, max_edges=12))
-def test_projection_matches_direct_recomputation(Hs):
-    half = Hs.n // 2
-    for side, block in (("low", range(half)), ("high", range(Hs.n - half, Hs.n))):
-        pg = projection_graph(Hs, side)
-        block = set(block)
-        want = {
-            frozenset(ins)
-            for e in Hs.edges
-            if len(ins := [v for v in e if v in block]) == 2
-        }
-        got = {
-            frozenset({u, v})
-            for u, row in zip(pg.vertices, pg.adj)
-            for v in row
-        }
-        assert got == want
-        for (u, v), e in pg.pair_cover.items():
-            assert {u, v} == set(e) & block
-
-
-# ----------------------------------------------------------- two-block paths
-
-
-def test_dlv_bridges_complete_graph():
-    Hc = complete_hypergraph(12, 3)
-    r = dlv_long_path(Hc, rng=SeededRng(4))
-    assert r.bridged
-    assert r.window == 5  # ceil(12 / ln 12)
-    assert r.low_length == r.high_length == 5
-    assert validate(r.path, Hc).ok
-    assert len(r.path.vertices) >= 7
-
-
-def test_dlv_unbridged_returns_longer_half():
-    # low pairs (0,1),(1,2); high pair (5,6); no edge meets both windows
-    Hs = H(8, 3, [(0, 1, 4), (1, 2, 4), (3, 5, 6)])
-    r = dlv_long_path(Hs, rng=SeededRng(7))
-    assert not r.bridged
-    assert r.low_length == 2
-    assert r.high_length == 1
-    assert r.path.vertex_set == frozenset({0, 1, 2})
-    assert validate(r.path, Hs).ok
-
-
-def test_dlv_rejects_tiny_and_bad_window():
-    with pytest.raises(InputError, match="need n >= 4"):
-        dlv_long_path(H(3, 3, [(0, 1, 2)]))
-    with pytest.raises(InputError, match="window must be >= 1"):
-        dlv_long_path(complete_hypergraph(8, 3), window=0)
-
-
-def test_dlv_rejects_when_no_projection_path():
-    # every edge lies inside the low block: both projections are empty
-    Hs = H(12, 3, list(combinations(range(6), 3)))
-    with pytest.raises(InputError, match="no projection path of positive length"):
-        dlv_long_path(Hs, rng=SeededRng(5))
-
-
-def test_dlv_deterministic_and_valid_on_random_inputs():
-    hit = 0
-    for s in range(12):
-        Hs = _gnp(16, 3, 0.02, seed=600 + s)
-        try:
-            a = dlv_long_path(Hs, rng=SeededRng(61))
-        except InputError:
-            continue
-        b = dlv_long_path(Hs, rng=SeededRng(61))
-        assert a == b
-        assert validate(a.path, Hs).ok
-        hit += 1
-    assert hit >= 3
 
 
 # --------------------------------------------------------------------- lifting
