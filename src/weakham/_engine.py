@@ -22,6 +22,14 @@ The core move set mirrors the classic rotation-extension loop:
 
 One driver, `search`, serves both uses; `close` is its only mode switch.
 
+Paths are `np.intp` arrays from the first growth to the return, so the
+per-rotation work is numpy's: a rotation is one copy with its tail reversed,
+and a closure scan fills the positions of each dequeued path with one fancy
+assignment into a position array of its own (no buffer is shared between
+scans). Growth draws its candidates from `adj_masks[w] & free`, with the free
+bitmask kept up to date as vertices join. `search` converts only what it
+returns to lists.
+
 Every structural step preserves the invariant "path vertices distinct,
 consecutive vertices adjacent", so results need no post-hoc repair.
 """
@@ -29,6 +37,8 @@ consecutive vertices adjacent", so results need no post-hoc repair.
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 __all__ = ["ClosureResult", "closure_scan", "search"]
 
@@ -43,34 +53,42 @@ class ClosureResult:
         self.rotations = rotations
 
 
-def _grow(adj, path, pmask, target_mask, gen):
-    """Greedy extension at the path's right end; random candidate choice."""
+def _grow(adj, adj_masks, w, free, gen):
+    """Greedy extension from the end vertex `w` into the `free` bitmask:
+    a lone candidate is taken without a draw, several are listed in
+    adjacency order and one is drawn. Returns the grown vertices and what
+    is left of `free`."""
+    grown = []
     while True:
-        w = path[-1]
-        cands = [x for x in adj[w] if (target_mask >> x) & 1 and not (pmask >> x) & 1]
+        cands = adj_masks[w] & free
         if not cands:
-            return pmask
-        x = cands[int(gen.integers(len(cands)))] if len(cands) > 1 else cands[0]
-        path.append(x)
-        pmask |= 1 << x
+            return grown, free
+        if cands & (cands - 1):
+            listed = [x for x in adj[w] if (cands >> x) & 1]
+            w = listed[int(gen.integers(len(listed)))]
+        else:
+            w = cands.bit_length() - 1
+        grown.append(w)
+        free ^= 1 << w
 
 
 def _endpoint_hit(adj, adj_masks, P, free, v0, close, rotations):
     """Success test for the endpoint of P: "extend" through its first
     neighbor in `free` (adjacency order), else — when `close` — "cycle" if it
     is adjacent to v0, else None."""
-    u = P[-1]
+    u = P.item(-1)
     m = adj_masks[u]
     if m & free:
         x = next(x for x in adj[u] if (free >> x) & 1)
-        return ClosureResult("extend", path=P + [x], rotations=rotations)
+        return ClosureResult("extend", path=np.concatenate((P, (x,))), rotations=rotations)
     if close and (m >> v0) & 1:
         return ClosureResult("cycle", path=P, rotations=rotations)
     return None
 
 
-def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf):
-    """BFS over the rotation closure of `path` with path[0] fixed.
+def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
+    """BFS over the rotation closure of `path` (an `np.intp` array) with
+    path[0] fixed.
 
     Every endpoint is tested once, when a rotation first reaches it (the
     root's own endpoint before the BFS starts): an endpoint with a target
@@ -80,42 +98,45 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf
     "cycle" (the closing path). `rotations` counts the rotations performed up
     to that point. If no endpoint passes, returns "stall" with one
     representative path per endpoint of the full closure, or "budget" when
-    the rotation allowance runs out first. `posbuf` is a reusable int list
-    of size >= the graph order (filled/cleared per representative).
+    the rotation allowance runs out first. Every path returned is an array.
+
+    The scan keeps its own position array, filled by one assignment per
+    dequeued path and never cleared: a position is only read for a vertex
+    on the path (its `pmask` bit set), and each fill overwrites all of them.
     """
-    v0 = path[0]
+    v0 = path.item(0)
     h = len(path) - 1
     free = target_mask & ~pmask
     close = close and h >= 2
-    reps = {path[-1]: path}
+    reps = {path.item(-1): path}
     result = _endpoint_hit(adj, adj_masks, path, free, v0, close, 0)
     if result is not None or h < 2:
         return result or ClosureResult("stall", reps=reps, rotations=0)
+    pos = np.empty(len(adj), dtype=np.intp)
+    order = np.arange(h + 1, dtype=np.intp)
     queue = deque((path,))
     rotations = 0
     while queue and result is None:
         P = queue.popleft()
-        for idx, v in enumerate(P):
-            posbuf[v] = idx
-        for x in adj[P[-1]]:
+        pos[P] = order
+        for x in adj[P.item(-1)]:
             if not (pmask >> x) & 1:
                 continue
-            i = posbuf[x]
+            i = pos.item(x)
             if i <= h - 2:
-                u = P[i + 1]
+                u = P.item(i + 1)
                 if u not in reps:
                     if rotations >= budget:
                         result = ClosureResult("budget", reps=reps, rotations=rotations)
                         break
                     rotations += 1
-                    newP = P[: i + 1] + P[:i:-1]
+                    newP = P.copy()
+                    newP[i + 1 :] = P[:i:-1]
                     result = _endpoint_hit(adj, adj_masks, newP, free, v0, close, rotations)
                     if result is not None:
                         break
                     reps[u] = newP
                     queue.append(newP)
-        for v in P:
-            posbuf[v] = -1
     return result or ClosureResult("stall", reps=reps, rotations=rotations)
 
 
@@ -135,7 +156,8 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     through an outside neighbor (possible whenever the target is connected).
     Without it, a stalled path that spans the target ends the attempt.
 
-    Returns (cycle | None, path, rotations_used, restarts_used, exhausted).
+    Returns (cycle | None, path, rotations_used, restarts_used, exhausted),
+    with the cycle and path as lists of vertex ints.
     `path` is the longest stalled orientation (the latest within an
     attempt, the earliest attempt on ties); it has the saturation property:
     every endpoint of its rotation closure (start fixed) has all its target
@@ -145,7 +167,6 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     allowance ran out before the search had its answer: a spanning cycle
     with `close`, a stalled path without.
     """
-    posbuf = [-1] * len(adj)
     t_list = sorted(target)
     target_mask = 0
     for v in t_list:
@@ -159,13 +180,13 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
             break
         restarts = attempt
         start = t_list[int(gen.integers(len(t_list)))]
-        path = [start]
-        pmask = _grow(adj, path, 1 << start, target_mask, gen)
+        grown, free = _grow(adj, adj_masks, start, target_mask ^ 1 << start, gen)
+        path = np.array([start, *grown], dtype=np.intp)
         pending = stalled = None
         while True:
             res = closure_scan(
-                adj, adj_masks, path, pmask, target_mask,
-                max_rotations - rot_used, close, posbuf,
+                adj, adj_masks, path, target_mask ^ free, target_mask,
+                max_rotations - rot_used, close,
             )
             rot_used += res.rotations
             if res.kind == "budget":
@@ -173,7 +194,7 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
                 break
             if res.kind == "stall":
                 stalled = path
-                if not close and pmask == target_mask:
+                if not close and not free:
                     break  # a spanning path has nothing left to extend into
                 if pending is None:
                     # smallest endpoint is scanned first (popped from the tail);
@@ -187,19 +208,22 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
                 continue
             path = res.path
             if res.kind == "cycle":
-                if pmask == target_mask:
-                    return path, path, rot_used, restarts, False
-                free = target_mask & ~pmask
-                idx = next((i for i, v in enumerate(path) if adj_masks[v] & free), None)
+                if not free:
+                    cycle = path.tolist()
+                    return cycle, cycle, rot_used, restarts, False
+                idx = next((i for i, v in enumerate(path.tolist()) if adj_masks[v] & free), None)
                 if idx is None:
                     break  # the cycle's component is used up: target disconnected
-                x = next(x for x in adj[path[idx]] if (free >> x) & 1)
-                path = path[idx + 1 :] + path[: idx + 1] + [x]
-            pmask = _grow(adj, path, pmask | 1 << path[-1], target_mask, gen)
+                x = next(x for x in adj[path.item(idx)] if (free >> x) & 1)
+                path = np.concatenate((path[idx + 1 :], path[: idx + 1], (x,)))
+            w = path.item(-1)
+            grown, free = _grow(adj, adj_masks, w, free ^ 1 << w, gen)
+            if grown:
+                path = np.concatenate((path, grown))
             pending = None
         if stalled is not None and (best is None or len(stalled) > len(best)):
             best = stalled
         if out_of_budget:
             break
     exhausted = out_of_budget and (close or best is None)
-    return None, best or path, rot_used, restarts, exhausted
+    return None, (path if best is None else best).tolist(), rot_used, restarts, exhausted

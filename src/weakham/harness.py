@@ -129,6 +129,10 @@ class ExperimentConfig:
             raise InputError(f"samples must be >= 0, got {self.samples}")
         if self.d < 2:
             raise InputError(f"d must be >= 2, got {self.d}")
+        if self.budget is not None and self.budget < 1:
+            raise InputError(f"budget must be >= 1 (None for the default), got {self.budget}")
+        if self.oracle_cutoff < 0:
+            raise InputError(f"oracle_cutoff must be >= 0, got {self.oracle_cutoff}")
         if self.oracle_cutoff > DP_MAX_VERTICES:
             raise InputError(
                 f"oracle_cutoff cannot exceed {DP_MAX_VERTICES}, got {self.oracle_cutoff}"

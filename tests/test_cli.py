@@ -99,6 +99,15 @@ def test_negative_seed_is_input_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_negative_oracle_cutoff_is_input_error(tmp_path, capsys):
+    out = os.fspath(tmp_path / "t.csv")
+    rc = run_cli("exp", "threshold", "--n", "30", "--c-grid=1", "--trials", "6",
+                 "--oracle-cutoff", "-3", "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: oracle_cutoff must be >= 0, got -3\n"
+    assert not os.path.exists(out)
+
+
 def test_gen_beyond_sampler_capability_is_exit_2(tmp_path, capsys):
     out = os.fspath(tmp_path / "h.txt")
     rc = run_cli("gen", "--n", "231", "--d", "3", "--model", "gnp",

@@ -2,15 +2,23 @@
 independent breadth-first walk over rotations, and the one search driver in
 both modes (cycles sought or not): path invariants of every returned path,
 saturation of stalled paths, rotation budgets, restart counts, the far-side
-stall escape, and seed determinism."""
+stall escape, and seed determinism. The array engine is also compared, result
+for result, with a list-based copy of the engine it replaced, and pinned on
+four G(n, p) instances at n = 1000."""
 
 from __future__ import annotations
 
+import hashlib
+from collections import deque
+
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weakham import rotation_extension_search
 from weakham._engine import closure_scan, search
+from weakham.randmodels import GnpParams, SeededRng, p_from_c, sample_gnp
 
 
 def _graph(n, pairs):
@@ -89,11 +97,8 @@ def _wins(adj, P, target, close):
 @example(args=(*_graph(2, [(0, 1)]), [0, 1], {0, 1}, 5, True))  # no 2-cycles
 def test_closure_scan_matches_plain_rotation_bfs(args):
     adj, masks, path, target, budget, close = args
-    n = len(adj)
-    posbuf = [-1] * n
-    res = closure_scan(adj, masks, list(path), _mask(path), _mask(target),
-                       budget, close, posbuf)
-    assert posbuf == [-1] * n
+    res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
+                       _mask(target), budget, close)
     assert 0 <= res.rotations <= budget
     closure = _rotation_closure(adj, path)
     winners = [k for k, P in enumerate(closure) if _wins(adj, P, target, close)]
@@ -101,7 +106,7 @@ def test_closure_scan_matches_plain_rotation_bfs(args):
         k = winners[0]
         assert res.kind in ("extend", "cycle")
         assert res.rotations == k
-        P = res.path
+        P = res.path.tolist()
         _assert_path(adj, P)
         assert P[0] == path[0]
         if res.kind == "extend":
@@ -123,6 +128,7 @@ def test_closure_scan_matches_plain_rotation_bfs(args):
         assert res.kind == "budget"
         assert res.rotations == budget
     for u, P in res.reps.items():
+        P = P.tolist()
         _assert_path(adj, P)
         assert P[0] == path[0] and P[-1] == u and set(P) == set(path)
         assert not _wins(adj, P, target, close)
@@ -134,10 +140,10 @@ def test_closure_scan_tests_each_endpoint_when_it_is_reached():
     adj, masks = _graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1), (4, 2), (2, 5)])
     path = [0, 1, 2, 3, 4]
     for close in (False, True):
-        res = closure_scan(adj, masks, list(path), _mask(path), _mask(range(6)),
-                           100, close, [-1] * 6)
+        res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
+                           _mask(range(6)), 100, close)
         assert res.kind == "extend"
-        assert res.path == [0, 1, 4, 3, 2, 5]
+        assert res.path.tolist() == [0, 1, 4, 3, 2, 5]
         assert res.rotations == 1
 
 
@@ -233,3 +239,168 @@ def test_search_sweeps_far_sides_smallest_endpoint_first():
     adj, masks = _graph(7, pairs)
     assert search(adj, masks, range(7), _seeded(0), 100, 1, close=False) == (
         None, [1, 2, 0, 5, 3, 4, 6], 2, 0, False)
+
+
+# The list-based engine that the array engine replaced, kept here as an
+# independent reference: same BFS order, RNG calls and sweep, with each
+# position table filled and cleared by Python loops.
+
+
+def _list_grow(adj, path, pmask, target_mask, gen):
+    while True:
+        w = path[-1]
+        cands = [x for x in adj[w] if (target_mask >> x) & 1 and not (pmask >> x) & 1]
+        if not cands:
+            return pmask
+        x = cands[int(gen.integers(len(cands)))] if len(cands) > 1 else cands[0]
+        path.append(x)
+        pmask |= 1 << x
+
+
+def _list_endpoint_hit(adj, adj_masks, P, free, v0, close, rotations):
+    u = P[-1]
+    if adj_masks[u] & free:
+        x = next(x for x in adj[u] if (free >> x) & 1)
+        return "extend", P + [x], None, rotations
+    if close and (adj_masks[u] >> v0) & 1:
+        return "cycle", P, None, rotations
+    return None
+
+
+def _list_closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf):
+    v0, h = path[0], len(path) - 1
+    free = target_mask & ~pmask
+    close = close and h >= 2
+    reps = {path[-1]: path}
+    result = _list_endpoint_hit(adj, adj_masks, path, free, v0, close, 0)
+    if result is not None or h < 2:
+        return result or ("stall", None, reps, 0)
+    queue = deque((path,))
+    rotations = 0
+    while queue and result is None:
+        P = queue.popleft()
+        for idx, v in enumerate(P):
+            posbuf[v] = idx
+        for x in adj[P[-1]]:
+            if not (pmask >> x) & 1:
+                continue
+            i = posbuf[x]
+            if i <= h - 2 and P[i + 1] not in reps:
+                if rotations >= budget:
+                    result = ("budget", None, reps, rotations)
+                    break
+                rotations += 1
+                newP = P[: i + 1] + P[:i:-1]
+                result = _list_endpoint_hit(adj, adj_masks, newP, free, v0, close, rotations)
+                if result is not None:
+                    break
+                reps[P[i + 1]] = newP
+                queue.append(newP)
+        for v in P:
+            posbuf[v] = -1
+    return result or ("stall", None, reps, rotations)
+
+
+def _list_search(adj, adj_masks, target, gen, max_rotations, attempts, close):
+    posbuf = [-1] * len(adj)
+    t_list = sorted(target)
+    target_mask = _mask(t_list)
+    rot_used = restarts = 0
+    best = None
+    out_of_budget = False
+    for attempt in range(max(1, attempts)):
+        if attempt and rot_used >= max_rotations:
+            out_of_budget = True
+            break
+        restarts = attempt
+        start = t_list[int(gen.integers(len(t_list)))]
+        path = [start]
+        pmask = _list_grow(adj, path, 1 << start, target_mask, gen)
+        pending = stalled = None
+        while True:
+            kind, newpath, reps_, rots = _list_closure_scan(
+                adj, adj_masks, path, pmask, target_mask,
+                max_rotations - rot_used, close, posbuf,
+            )
+            rot_used += rots
+            if kind == "budget":
+                out_of_budget = True
+                break
+            if kind == "stall":
+                stalled = path
+                if not close and pmask == target_mask:
+                    break
+                if pending is None:
+                    reps = reps_
+                    pending = sorted(reps, reverse=True)
+                if not pending:
+                    break
+                path = reps.pop(pending.pop())[::-1]
+                continue
+            path = newpath
+            if kind == "cycle":
+                if pmask == target_mask:
+                    return path, path, rot_used, restarts, False
+                free = target_mask & ~pmask
+                idx = next((i for i, v in enumerate(path) if adj_masks[v] & free), None)
+                if idx is None:
+                    break
+                x = next(x for x in adj[path[idx]] if (free >> x) & 1)
+                path = path[idx + 1 :] + path[: idx + 1] + [x]
+            pmask = _list_grow(adj, path, pmask | 1 << path[-1], target_mask, gen)
+            pending = None
+        if stalled is not None and (best is None or len(stalled) > len(best)):
+            best = stalled
+        if out_of_budget:
+            break
+    exhausted = out_of_budget and (close or best is None)
+    return None, best or path, rot_used, restarts, exhausted
+
+
+@st.composite
+def engine_inputs(draw):
+    """A random graph on n <= 40 vertices, its neighbor lists in a shuffled
+    order (candidates are listed in adjacency order, not vertex order), and
+    a non-empty target subset."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.05, 0.1, 0.2, 0.35, 0.6, 1.0)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    nbrs = [np.flatnonzero(upper[v] | upper[:, v]) for v in range(n)]
+    adj = tuple(tuple(rng.permutation(s).tolist()) for s in nbrs)
+    masks = tuple(_mask(s) for s in adj)
+    if draw(st.booleans()):
+        target = list(range(n))
+    else:
+        target = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    return adj, masks, target
+
+
+@settings(max_examples=300)
+@given(engine_inputs(), st.booleans(), st.integers(0, 200), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_search_matches_the_list_based_engine(g, close, budget, attempts, seed):
+    adj, masks, target = g
+    got = search(adj, masks, target, _seeded(seed), budget, attempts, close)
+    want = _list_search(adj, masks, target, _seeded(seed), budget, attempts, close)
+    assert got == want
+    assert all(type(v) is int for v in got[1])
+
+
+def _cycle_digest(vertices):
+    return hashlib.sha256(",".join(map(str, vertices)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("c, seed, rotations, restarts, digest", [
+    (-1, 0, 885, 0, "717cf92ba0a73ac625151129d18b52ecd4eafc73f861b6c96e10a2892a90a8cb"),
+    (0, 1, 701, 0, "8af5491cb55f66efed8a7f30d1caf41ece7955d8cc94391fb077e312bde4a3d9"),
+    (1, 2, 572, 0, "4d736f7f1b14c5c84fea3757b7f9a3a79e83f2b75cef0942965f9677350fbd93"),
+    (2, 3, 317, 0, "a96feac469e948e9c9f02ced04ac0cc6f538fb5d08e0aeca6caa6fed89d9f27b"),
+])
+def test_search_is_pinned_at_n1000(c, seed, rotations, restarts, digest):
+    # the size the threshold bench measures; values recorded on the list-based
+    # engine, which the bench digests (engine columns masked) do not pin
+    H = sample_gnp(GnpParams(1000, 3, p_from_c(1000, 3, c)), SeededRng(seed, 0))
+    out = rotation_extension_search(H, rng=SeededRng(seed, 1))
+    assert (out.rotations, out.restarts) == (rotations, restarts)
+    assert _cycle_digest(out.cycle.vertices) == digest

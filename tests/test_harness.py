@@ -10,6 +10,7 @@ import os
 import pytest
 
 from weakham import (
+    ExperimentConfig,
     Hypergraph,
     InputError,
     SeededRng,
@@ -119,6 +120,12 @@ def test_make_config_rejections():
         make_config("threshold", {"experiment": "gnm"})
     with pytest.raises(InputError, match="samples must be >= 0"):
         make_config("expansion", {"n": "20", "c_grid": "0", "samples": "-5"})
+    with pytest.raises(InputError, match="oracle_cutoff must be >= 0, got -3"):
+        make_config("threshold", {"n": "30", "c_grid": "1", "oracle_cutoff": "-3"})
+    # make_config reads budget <= 0 as the default; the config itself refuses it
+    for budget in (0, -5):
+        with pytest.raises(InputError, match=f"budget must be >= 1 .*got {budget}"):
+            ExperimentConfig("threshold", n=30, c_grid=(1.0,), budget=budget)
 
 
 # --------------------------------------------------------------------- tables
