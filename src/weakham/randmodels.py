@@ -171,20 +171,19 @@ def _enumerate_dsets(n: int, d: int) -> np.ndarray:
     return arr
 
 
-def _pack_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Injective int64 code for sorted rows (radix-n digits)."""
-    code = rows[:, 0].astype(np.int64).copy()
-    for j in range(1, rows.shape[1]):
-        code *= n
-        code += rows[:, j]
-    return code
-
-
 def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    """k distinct d-sets, uniform without replacement, as a (k, d) array in
-    draw order. Dense regime enumerates and index-samples; sparse regime
-    rejection-samples sorted rows and dedups by first occurrence (which is
-    exactly sequential without-replacement sampling). Raises CapabilityError
+    """k distinct d-sets, uniform without replacement, as a (k, d) int64
+    array in draw order.
+
+    Dense regime enumerates and index-samples. Sparse regime rejection-samples
+    batches of (batch, d) uniform draws held as d columns: a bubble network of
+    column-wise minimum/maximum sorts each row, column compares drop rows with
+    a repeated vertex, and each kept row becomes one injective radix-n int64
+    code. The d-sets kept are the first occurrence of each code in draw order
+    (exactly sequential without-replacement sampling), found without a stable
+    sort: a plain sort of the codes reveals the repeated ones, and only their
+    positions are resolved. Further batches are drawn until k codes are
+    distinct; the first k are decoded back to rows. Raises CapabilityError
     when the dense regime would enumerate more than _ENUM_LIMIT d-sets, or
     the sparse regime's int64 row codes would overflow."""
     total = math.comb(n, d)
@@ -201,17 +200,47 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
     parts: list[np.ndarray] = []
     batch = int(1.25 * k) + 32
     while True:
-        rows = gen.integers(0, n, size=(batch, d))
-        rows.sort(axis=1)
-        ok = np.all(rows[:, 1:] > rows[:, :-1], axis=1)
-        parts.append(rows[ok])
-        allrows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        codes = _pack_rows(allrows, n)
-        _, first = np.unique(codes, return_index=True)
+        draw = gen.integers(0, n, size=(batch, d))
+        cols = [draw[:, j] for j in range(d)]
+        for top in range(d - 1, 0, -1):
+            for j in range(top):
+                lo = np.minimum(cols[j], cols[j + 1])
+                cols[j + 1] = np.maximum(cols[j], cols[j + 1])
+                cols[j] = lo
+        ok = np.logical_and.reduce([cols[j] > cols[j - 1] for j in range(1, d)])
+        code = cols[0]
+        for col in cols[1:]:
+            code = code * n + col
+        parts.append(code[ok])
+        codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        first = _first_occurrences(codes)
         if first.size >= k:
-            keep = np.sort(first)[:k]
-            return allrows[keep]
+            break
         batch = max(256, 2 * (k - first.size))
+    rows = np.empty((k, d), dtype=np.int64)
+    rest = first[:k]
+    for j in range(d - 1, 0, -1):
+        high = rest // n  # floor_divide by a scalar is faster than divmod
+        rows[:, j] = rest - high * n
+        rest = high
+    rows[:, 0] = rest
+    return rows
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """codes with every repeat after its first occurrence removed, in order."""
+    s = np.sort(codes)
+    repeated = s[1:][s[1:] == s[:-1]]
+    if repeated.size == 0:
+        return codes
+    at = np.flatnonzero(np.isin(codes, repeated))
+    values = np.unique(repeated)
+    lead = np.full(values.size, codes.size)
+    np.minimum.at(lead, np.searchsorted(values, codes[at]), at)
+    keep = np.ones(codes.size, dtype=bool)
+    keep[at] = False
+    keep[lead] = True
+    return codes[keep]
 
 
 # --- samplers -----------------------------------------------------------------
@@ -219,7 +248,9 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
 
 def _gnp_rows(params: GnpParams, rng: SeededRng) -> np.ndarray:
     """The edge rows of one G(n,p) draw: a binomial edge count (drawn only
-    when 0 < p < 1 and some d-set exists), then that many distinct rows."""
+    when 0 < p < 1 and some d-set exists), then that many distinct rows.
+    Raises CapabilityError, before the draw, when C(n,d) does not fit the
+    int64 trial count of the binomial."""
     gen = rng.generator()
     total = math.comb(params.n, params.d)
     if params.p == 0.0 or total == 0:
@@ -227,6 +258,11 @@ def _gnp_rows(params: GnpParams, rng: SeededRng) -> np.ndarray:
     elif params.p == 1.0:
         k = total
     else:
+        if total >= 2**63:
+            raise CapabilityError(
+                f"C({params.n},{params.d}) = {total} potential edges exceed the "
+                "int64 binomial edge-count draw"
+            )
         k = int(gen.binomial(total, params.p))
     return _sample_distinct_rows(params.n, params.d, k, gen)
 

@@ -121,6 +121,22 @@ def test_gen_beyond_sampler_capability_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_binomial_count_overflow_is_exit_2(tmp_path, capsys):
+    # C(10**7, 3) >= 2**63 does not fit the binomial draw of the edge count
+    out = os.fspath(tmp_path / "t.csv")
+    rc = run_cli("exp", "poisson", "--n", "10000000", "--c-grid=0", "--trials", "2",
+                 "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("capability error:") and "binomial" in err
+    assert not os.path.exists(out)
+    rc = run_cli("gen", "--n", "10000000", "--d", "3", "--model", "gnp",
+                 "--c", "0", "--out", out)
+    assert rc == 2
+    assert "binomial" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------- check
 
 

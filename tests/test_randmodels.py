@@ -1,14 +1,19 @@
 """Samplers and parameter formulas: G(n,p), G(n,m), the edge process and
-threshold parameterizations."""
+threshold parameterizations. The sparse rejection sampler is also compared,
+row for row, with a copy of the np.unique-based loop it replaced, and its
+rows and coverage masks are pinned at n = 2000/1000/200."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from weakham import (
@@ -232,6 +237,19 @@ def test_packing_bound_is_capability_error():
         sample_gnm(GnmParams(2**21, 3, 5), SeededRng(1, 0))
 
 
+def test_binomial_count_bound_is_capability_error():
+    # C(4e6, 3) >= 2**63 does not fit the binomial's int64 trial count; the
+    # guard fires before the draw. C(3e6, 3) < 2**63 draws the count and then
+    # fails the packing bound, as before.
+    for sampler in (sample_gnp, sampled_covered_vertices):
+        with pytest.raises(CapabilityError, match="binomial"):
+            sampler(GnpParams(4_000_000, 3, 1e-12), SeededRng(1, 0))
+        with pytest.raises(CapabilityError, match="packed sampling"):
+            sampler(GnpParams(3_000_000, 3, 1e-12), SeededRng(1, 0))
+    # p = 0 needs no draw
+    assert not sampled_covered_vertices(GnpParams(10**7, 3, 0.0), SeededRng(1, 0)).any()
+
+
 def test_process_first_edge_uniform():
     counts = Counter()
     for t in range(N_MC):
@@ -310,3 +328,125 @@ def test_samplers_equal_from_edges_of_their_rows(n, d, p):
         g = sample_gnm(GnmParams(n, d, m), rng)
         assert g == Hypergraph.from_edges(n, d, gnm_rows.tolist())
         assert np.array_equal(g.rows, Hypergraph.from_edges(n, d, gnm_rows.tolist()).rows)
+
+
+# ------------------------------------------------------ sparse rejection sampler
+
+
+def _sparse_rows_unique_loop(n, d, k, gen):
+    """The sparse branch as it was before the column network: row sort,
+    radix-n codes, and np.unique's first indices."""
+    parts = []
+    batch = int(1.25 * k) + 32
+    while True:
+        rows = gen.integers(0, n, size=(batch, d))
+        rows.sort(axis=1)
+        ok = np.all(rows[:, 1:] > rows[:, :-1], axis=1)
+        parts.append(rows[ok])
+        allrows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        codes = allrows[:, 0].copy()
+        for j in range(1, d):
+            codes = codes * n + allrows[:, j]
+        _, first = np.unique(codes, return_index=True)
+        if first.size >= k:
+            return allrows[np.sort(first)[:k]]
+        batch = max(256, 2 * (k - first.size))
+
+
+def _smallest_sparse_n(d):
+    n = d
+    while math.comb(n, d) <= randmodels._DENSE_ENUM_LIMIT:
+        n += 1
+    return n
+
+
+@st.composite
+def _sparse_cases(draw):
+    d = draw(st.integers(2, 6))
+    low = _smallest_sparse_n(d)
+    high = min(10**6, int(2 ** (62 / d)) - 1)  # keeps n**d < 2**62
+    n = draw(st.one_of(st.integers(low, low + 3), st.integers(low, high)))
+    total = math.comb(n, d)
+    most = (total - 1) // 2  # the largest k the sparse branch takes
+    choices = [st.integers(1, min(most, 6000))]
+    if total < 300_000:
+        # duplicate-heavy: the first batch falls short and retry batches run
+        choices.append(st.integers(total // 3, most))
+    k = draw(st.one_of(*choices))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, d, k, seed
+
+
+@given(_sparse_cases())
+# the smallest sparse n for each d, with the largest sparse k
+@example((633, 2, 100_013, 0))
+@example((108, 3, 102_077, 1))
+@example((49, 4, 105_937, 2))
+@example((32, 5, 100_687, 3))
+@example((26, 6, 115_114, 4))
+def test_sparse_rows_match_the_unique_loop(case):
+    n, d, k, seed = case
+    got = randmodels._sample_distinct_rows(n, d, k, np.random.default_rng(seed))
+    want = _sparse_rows_unique_loop(n, d, k, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and got.shape == want.shape == (k, d)
+    assert np.array_equal(got, want)
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+_PINNED_GNP = [
+    (2000, 0, 0, 5147, "cfac423b18ef6dd80b21b70b7a6f4626be92ffece2ba81715af45c0e0426a33f",
+     "236b232fb94678b33f7cfe5d9b11edf49949b02c5a5820277d2c7b6f65a12a55"),
+    (2000, 1, 0, 5019, "fb8bb63918cfe1c794a53862aa30a162676908f8bb5f78ccf2ff4cb0a087468c",
+     "f5e5eec8707190edb8272bda0436ac6db9b2bf658bcffebb41a7dae2095f25c8"),
+    (2000, 4, 0, 5125, "9e336f9327d351594ff8c18b1c7277356527b385975cab326fac4290e235d2d4",
+     "d2290e9df8b08193b9536dfc08eff0901b2dca63338b311d0f82baa1d3c5dd23"),
+    (1000, 0, 0, 2354, "d38a2d4d8b67d9d7535de94d39b6efc4dd2f88fca5fb9d4a91178bbf3e7fd057",
+     "b77a81db736d562e760cb5df4878a2c7502753b6935806df67de79dffee40903"),
+    (1000, 1, 0, 2269, "d7dfe371374682e70d33d7cc042b520a8068903abf0a1d664463b7cfb474ce07",
+     "8f9cae4127ab59399caf3c41646dcb9c6e1e4b403afb3c586681cf162e3c96c8"),
+    (1000, 7, 123, 2234, "f76598f746ef3f53b4fca6e95f40d1f2680021aec49250b228a690e6c8a913ff",
+     "0ab8553de2507ebd055a6098ae043bb0492a7e50e297908efa6888700e16b8b5"),
+    (200, 0, 0, 372, "4691bc1058f875bfe2c84bb8fa289c5264a452c29db4424ecec6d87a28cf0c9e",
+     "d7c559bb9d4441c229c319d13b2152e114208178c16a8d7991f1344e634a46b0"),
+    (200, 4, 0, 305, "e8ad7a98ded57e7bdba467e3e5ab2ee80c327d1c79dddad9a08abb2d0babface",
+     "dd27e85d922c978dfdd2e2a2db1dff72d9f2503b2c63a0955ed2616c8770c031"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, stream, m, rows_digest, mask_digest", _PINNED_GNP,
+    ids=[f"n{case[0]}-seed{case[1]}-stream{case[2]}" for case in _PINNED_GNP],
+)
+def test_sparse_gnp_rows_and_masks_are_pinned(n, seed, stream, m, rows_digest, mask_digest):
+    # d = 3, c = 0; values recorded on the np.unique-based sampler
+    params = GnpParams(n, 3, p_from_c(n, 3, 0.0))
+    rows = randmodels._gnp_rows(params, SeededRng(seed, stream))
+    assert rows.dtype == np.int64 and rows.shape == (m, 3)
+    assert _sha(rows) == rows_digest
+    mask = sampled_covered_vertices(params, SeededRng(seed, stream))
+    assert _sha(mask) == mask_digest
+
+
+class _CountingGenerator:
+    def __init__(self, gen):
+        self.gen = gen
+        self.integers_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+def test_sparse_retry_batch_is_pinned():
+    # C(108, 3) = 204,156 is just above the dense limit, and k just under
+    # half of it leaves the first batch short of k distinct rows
+    n, d = 108, 3
+    k = math.comb(n, d) // 2 - 1
+    gen = _CountingGenerator(SeededRng(3, 0).generator())
+    rows = randmodels._sample_distinct_rows(n, d, k, gen)
+    assert gen.integers_calls > 1
+    assert rows.dtype == np.int64 and rows.shape == (k, d)
+    assert _sha(rows) == "6a8e19efe22416dfd51f12b6326973f05310b0bd70ca536754d23358ae87e693"
