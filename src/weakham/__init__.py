@@ -60,7 +60,6 @@ from .hypercore import (
 from .oracle import (
     OracleVerdict,
     decide_weak_hamiltonian,
-    exact_spanning_cycle_on_v1,
     exact_weak_hamiltonian,
     has_weak_cycle_of_length,
     weak_cycle_of_length,
@@ -152,7 +151,6 @@ __all__ = [
     "OracleVerdict",
     "decide_weak_hamiltonian",
     "exact_weak_hamiltonian",
-    "exact_spanning_cycle_on_v1",
     "has_weak_cycle_of_length",
     "weak_cycle_of_length",
     # expansion

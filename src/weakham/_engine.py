@@ -1,10 +1,10 @@
 """Rotation-extension search engine on plain graph adjacency.
 
 Works purely at the graph level (vertex ints, adjacency tuples, bitmask
-membership); used by weakpaths both for spanning-cycle search on the shadow
-graph and for the stalled long paths of stalled_path. Lifting vertex
-sequences back to weak paths/cycles with concrete hyperedges happens in
-weakpaths, not here.
+membership); used by weakpaths for spanning-cycle search on the shadow
+graph, for the stalled long paths of stalled_path and for the rotation
+closures of posa_set. Lifting vertex sequences back to weak paths/cycles
+with concrete hyperedges happens in weakpaths, not here.
 
 The core move set mirrors the classic rotation-extension loop:
   * grow the path greedily at its end (random choice among candidates);

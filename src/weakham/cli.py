@@ -14,7 +14,7 @@ import sys
 
 from .errors import CapabilityError, InputError
 from .harness import make_config, parse_config_text, run_experiment
-from .hypercore import dump_hypergraph, load_hypergraph
+from .hypercore import _read_text, dump_hypergraph, load_hypergraph
 from .oracle import decide_weak_hamiltonian, exact_weak_hamiltonian
 from .plotting import emit_plot
 from .randmodels import GnmParams, GnpParams, SeededRng, m_from_c, p_from_c, sample_gnm, sample_gnp
@@ -130,8 +130,7 @@ _EXP_LIST_KEYS = ("c_grid", "a_grid", "b_grid", "p_grid")
 def _cmd_exp(args) -> int:
     options: dict[str, str] = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            options.update(parse_config_text(fh.read()))
+        options.update(parse_config_text(_read_text(args.config)))
     for key in _EXP_FLAG_KEYS:
         value = getattr(args, key)
         if value is not None:

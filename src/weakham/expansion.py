@@ -287,11 +287,9 @@ def minimal_nonexpanding_connected(H: Hypergraph, A: Iterable[int]) -> bool:
 @dataclass(frozen=True)
 class GreedyProbeResult:
     """Monte Carlo record of the greedy covering walk. edges_found[t] is the
-    number of present edges the walk accepted in trial t; checked_counts[t]
-    lists, per processed B-vertex, how many of its candidates had already
-    been tested (and found absent) when its scan started — the proof's |M_j|.
-    Successes count trials in which every B-vertex became adjacent to A using
-    only edges inside the two blocks."""
+    number of present edges the walk accepted in trial t. Successes count
+    trials in which every B-vertex became adjacent to A using only edges
+    inside the two blocks."""
 
     a: int
     b: int
@@ -300,7 +298,6 @@ class GreedyProbeResult:
     trials: int
     successes: int
     edges_found: tuple[int, ...] = field(repr=False)
-    checked_counts: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def phat(self) -> float:
@@ -366,7 +363,6 @@ def greedy_probe(
     gen = (rng or SeededRng(0, 0)).generator()
     need = -(-b // (d - 1))
     edges_found: list[int] = []
-    checked: list[tuple[int, ...]] = []
     successes = 0
     # presence rows are drawn in one batch for speed; the scan itself is
     # sequential because each test depends on what earlier scans marked
@@ -380,14 +376,11 @@ def greedy_probe(
             tested = np.zeros(ncand, dtype=bool)
             covered = 0
             found = 0
-            mj: list[int] = []
             ok = True
             while covered != (1 << b) - 1:
                 j = (~covered & -(~covered)).bit_length() - 1  # lowest uncovered
                 arr = bvert_members[j]
-                seen = tested[arr]
-                mj.append(int(np.count_nonzero(seen)))
-                live = pres[arr] & ~seen
+                live = pres[arr] & ~tested[arr]
                 hit = np.nonzero(live)[0]
                 if hit.size == 0:
                     tested[arr] = True
@@ -398,7 +391,6 @@ def greedy_probe(
                 covered |= int(cand_bmask[arr[first]])
                 found += 1
             edges_found.append(found)
-            checked.append(tuple(mj))
             if ok:
                 successes += 1
                 assert found >= need, (
@@ -413,7 +405,6 @@ def greedy_probe(
         trials=trials,
         successes=successes,
         edges_found=tuple(edges_found),
-        checked_counts=tuple(checked),
     )
 
 

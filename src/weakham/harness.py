@@ -46,7 +46,8 @@ from .expansion import (
     u_sampled_check,
     U_EXACT_MAX_V1,
 )
-from .hypercore import Hypergraph, components, isolated_vertices, non_isolated_vertices
+from .hypercore import (Hypergraph, _read_text, components, isolated_vertices,
+                        non_isolated_vertices)
 from .oracle import DP_MAX_VERTICES, decide_weak_hamiltonian
 from .randmodels import (
     GnmParams,
@@ -339,8 +340,7 @@ def read_table(text: str) -> Table:
 
 
 def load_table(path: str) -> Table:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_table(fh.read())
+    return read_table(_read_text(path))
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -532,7 +532,7 @@ def run_isolated_distribution(cfg: ExperimentConfig) -> Table:
     """Histogram of the isolated-vertex count per c, with total-variation
     distance and a tail-pooled chi-square against Poisson(exp(-c))."""
     _require(cfg, "poisson")
-    from scipy.stats import chi2
+    from scipy.special import chdtrc  # the chi-square survival function
 
     rows = []
     for i, c in enumerate(sorted(cfg.c_grid)):
@@ -570,7 +570,7 @@ def run_isolated_distribution(cfg: ExperimentConfig) -> Table:
         if len(edges) >= 2:
             stat = sum((o - e) ** 2 / e for _, e, o in edges)
             dof = len(edges) - 1
-            pvalue = float(chi2.sf(stat, dof))
+            pvalue = float(chdtrc(dof, stat))
         else:
             stat, dof, pvalue = None, None, None
         mean_hat = sum(counts) / cfg.trials

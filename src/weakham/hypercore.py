@@ -130,8 +130,8 @@ class Hypergraph:
     @cached_property
     def cover_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Map each covered pair (u, v) with u < v to the lexicographically
-        smallest hyperedge containing both. Used to lift shadow paths/cycles
-        back to weak paths/cycles with deterministic witnesses."""
+        smallest hyperedge containing both: the edge that lift_path and
+        lift_cycle choose for that pair."""
         codes, first = self._pairs
         u, v = np.divmod(codes, self.n)
         return dict(zip(zip(u.tolist(), v.tolist()), map(self.edges.__getitem__, first.tolist())))
@@ -380,9 +380,18 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return H
 
 
+def _read_text(path) -> str:
+    """A file's text with its newlines untranslated; InputError unless it is
+    UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if "\r" in text:
         raise InputError("hypergraph files must use LF line endings")
     return parse_hypergraph(text)

@@ -24,12 +24,7 @@ from dataclasses import dataclass, replace
 
 from . import _bitdp
 from .errors import CapabilityError, InputError
-from .hypercore import (
-    Hypergraph,
-    is_connected_on,
-    isolated_vertices,
-    non_isolated_vertices,
-)
+from .hypercore import Hypergraph, is_connected_on, isolated_vertices
 from .randmodels import SeededRng
 from .weakpaths import (SearchOutcome, WeakCycle, lift_cycle, rotation_extension_search,
                         validate, weak_to_json)
@@ -38,7 +33,6 @@ __all__ = [
     "OracleVerdict",
     "decide_weak_hamiltonian",
     "exact_weak_hamiltonian",
-    "exact_spanning_cycle_on_v1",
     "has_weak_cycle_of_length",
     "weak_cycle_of_length",
     "DP_MAX_VERTICES",
@@ -94,15 +88,23 @@ def _backtrack(dp, masks: list[int], S: int, v: int) -> list[int]:
     return seq[::-1]
 
 
-def _dp_hamilton_cycle(adj_masks: list[int], n: int) -> list[int] | None:
-    """Hamilton cycle on a graph given as bitmask adjacency, as a vertex list
-    starting at 0, or None. Requires n >= 3."""
-    dp = _bitdp.endpoints(adj_masks, n, 1, n)
-    full = (1 << n) - 1
-    endmask = int(dp[full]) & adj_masks[0] & ~1
-    if endmask == 0:
-        return None
-    return _backtrack(dp, adj_masks, full, _lowest_bit(endmask))
+def _dp_cycle(adj_masks, n: int, ell: int) -> list[int] | None:
+    """A cycle through exactly ell vertices of a graph given as bitmask
+    adjacency, as a vertex list starting at its smallest vertex, or None.
+    Anchors on each possible smallest vertex a in turn and runs the subset
+    DP from a over the vertices >= a, up to popcount ell; at ell == n that is
+    one Hamilton-cycle DP from vertex 0. Requires 3 <= ell."""
+    for a in range(n - ell + 1):
+        k = n - a
+        sub = [(adj_masks[a + i] >> a) for i in range(k)]
+        dp = _bitdp.endpoints(sub, k, 1, ell)
+        T = _bitdp.layer(k, ell)
+        found = T[(dp[T] & sub[0]) != 0]
+        if found.size:
+            S = int(found[0])
+            path = _backtrack(dp, sub, S, _lowest_bit(int(dp[S]) & sub[0]))
+            return [a + w for w in path]
+    return None
 
 
 def _direct_hamilton(H: Hypergraph) -> WeakCycle | None:
@@ -181,8 +183,7 @@ def exact_weak_hamiltonian(H: Hypergraph, method: str = "dp") -> OracleVerdict:
             raise CapabilityError(
                 f"dp oracle handles n <= {DP_MAX_VERTICES}, got n = {H.n}"
             )
-        masks = list(H.shadow.adj_masks)
-        cyc = _dp_hamilton_cycle(masks, H.n)
+        cyc = _dp_cycle(H.shadow.adj_masks, H.n, H.n)
         if cyc is None:
             return OracleVerdict("no", None, "dp")
         witness = lift_cycle(H, cyc)
@@ -224,37 +225,6 @@ def decide_weak_hamiltonian(
                          note="search gave up without a certificate", search=outcome)
 
 
-def exact_spanning_cycle_on_v1(H: Hypergraph) -> OracleVerdict:
-    """Decide whether a weak cycle spans exactly the non-isolated vertices
-    V1(H) — the event whose probability the threshold experiments estimate.
-    Handles |V1| <= 20 via the dp oracle on the induced shadow."""
-    v1 = sorted(non_isolated_vertices(H))
-    if len(v1) < 3:
-        return OracleVerdict("no", None, "dp", note=f"|V1| = {len(v1)} < 3")
-    if len(v1) > DP_MAX_VERTICES:
-        raise CapabilityError(
-            f"dp oracle handles |V1| <= {DP_MAX_VERTICES}, got {len(v1)}"
-        )
-    if not is_connected_on(H, v1):
-        return OracleVerdict("no", None, "dp", note="V1 is disconnected")
-    index = {v: k for k, v in enumerate(v1)}
-    masks = [0] * len(v1)
-    shadow = H.shadow
-    for v in v1:
-        m = 0
-        for w in shadow.adj[v]:
-            m |= 1 << index[w]
-        masks[index[v]] = m
-    cyc = _dp_hamilton_cycle(masks, len(v1))
-    if cyc is None:
-        return OracleVerdict("no", None, "dp")
-    witness = lift_cycle(H, [v1[k] for k in cyc])
-    check = validate(witness, H)
-    assert check.ok, f"oracle produced an invalid witness: {check.violation}"
-    assert witness.spanned == frozenset(v1)
-    return OracleVerdict("yes", witness, "dp")
-
-
 def weak_cycle_of_length(H: Hypergraph, ell: int) -> WeakCycle | None:
     """A weak cycle through exactly ell distinct vertices, or None. Anchors
     the search on each possible minimum cycle vertex; n <= 20."""
@@ -266,23 +236,14 @@ def weak_cycle_of_length(H: Hypergraph, ell: int) -> WeakCycle | None:
         )
     if ell > H.n:
         return None
-    masks = list(H.shadow.adj_masks)
-    for a in range(H.n - ell + 1):
-        k = H.n - a
-        sub = [(masks[a + i] >> a) for i in range(k)]
-        dp = _bitdp.endpoints(sub, k, 1, ell)
-        T = _bitdp.layer(k, ell)
-        found = T[(dp[T] & sub[0]) != 0]
-        if found.size:
-            S = int(found[0])
-            path = _backtrack(dp, sub, S, _lowest_bit(int(dp[S]) & sub[0]))
-            cyc = [a + w for w in path]
-            witness = lift_cycle(H, cyc)
-            check = validate(witness, H)
-            assert check.ok, f"probe produced an invalid witness: {check.violation}"
-            assert witness.length == ell
-            return witness
-    return None
+    cyc = _dp_cycle(H.shadow.adj_masks, H.n, ell)
+    if cyc is None:
+        return None
+    witness = lift_cycle(H, cyc)
+    check = validate(witness, H)
+    assert check.ok, f"probe produced an invalid witness: {check.violation}"
+    assert witness.length == ell
+    return witness
 
 
 def has_weak_cycle_of_length(H: Hypergraph, ell: int) -> bool:

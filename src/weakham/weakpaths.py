@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -228,19 +228,16 @@ class PosaSet:
     posa_inequality: bool
 
 
-def posa_set(
-    H: Hypergraph,
-    P: WeakPath,
-    v0: int,
-    on_rotate: Callable[[WeakPath, tuple[int, ...], int, WeakPath], None] | None = None,
-) -> PosaSet:
-    """Breadth-first rotation closure of P fixing the start v0.
+def posa_set(H: Hypergraph, P: WeakPath, v0: int) -> PosaSet:
+    """Breadth-first rotation closure of P fixing the start v0, walked by
+    the rotation engine's closure scan on the shadow graph.
 
     v0 must be an endpoint of P (the path is reversed internally if it is the
-    last vertex). Each closure step uses the lexicographically smallest
-    hyperedge covering the pivot pair; `on_rotate(old, e, i, new)` is invoked
-    for every rotation performed, which the test-suite uses to audit rotation
-    soundness.
+    last vertex). The base path is kept as given; every other representative
+    is lifted by lift_path, through the lexicographically smallest hyperedge
+    covering each consecutive pair. So when P itself uses a covering edge
+    that is not the smallest, the other representatives use the smallest one
+    instead (paths from stalled_path or lift_path already do).
 
     When the closure is saturated (no discovered endpoint can leave the
     path's vertex set — true whenever P really is a longest path), the Pósa
@@ -256,31 +253,20 @@ def posa_set(
         P = P.reversed()
     if v0 != P.first:
         raise InputError(f"v0={v0} is not an endpoint of the path")
-    shadow = H.shadow
-    cover = H.cover_index
-    reps: dict[int, WeakPath] = {P.last: P}
-    queue: deque[WeakPath] = deque((P,))
-    h = P.h
-    while queue:
-        cur = queue.popleft()
-        w = cur.last
-        pos = {v: k for k, v in enumerate(cur.vertices)}
-        for x in shadow.adj[w]:
-            i = pos.get(x, -1)
-            if 0 <= i <= h - 2:
-                u = cur.vertices[i + 1]
-                if u not in reps:
-                    e = cover[(x, w) if x < w else (w, x)]
-                    new = rotate(cur, e, i)
-                    if on_rotate is not None:
-                        on_rotate(cur, e, i, new)
-                    reps[u] = new
-                    queue.append(new)
-    endpoints = frozenset(reps)
     pmask = 0
     for v in P.vertices:
         pmask |= 1 << v
+    shadow = H.shadow
     masks = shadow.adj_masks
+    # no target vertex lies off the path, so no endpoint can extend, and a
+    # closure has at most h endpoints, so the allowance of h rotations never
+    # runs out: the scan always ends in "stall" with the full closure
+    res = _engine.closure_scan(
+        shadow.adj, masks, np.array(P.vertices, dtype=np.intp), pmask, pmask, P.h,
+        close=False,
+    )
+    reps = {w: P if w == P.last else lift_path(H, R) for w, R in res.reps.items()}
+    endpoints = frozenset(reps)
     saturated = all(masks[w] & ~pmask == 0 for w in endpoints)
     nbrs = neighbors(H, endpoints)
     inequality = len(nbrs) < 2 * len(endpoints)
@@ -575,9 +561,12 @@ def weak_from_json(text: str) -> WeakPath | WeakCycle:
     if not isinstance(seq, list) or len(seq) % 2 == 0 or len(seq) < 1:
         raise InputError("sequence must alternate vertex, edge, ..., vertex")
     vertices = seq[0::2]
-    edges = [tuple(e) for e in seq[1::2]]
-    if not all(isinstance(v, int) for v in vertices):
+    # type(v) is int: JSON true/false load as bool, a subclass of int
+    if not all(type(v) is int for v in vertices):
         raise InputError("vertex entries must be integers")
+    if not all(type(e) is list and all(type(v) is int for v in e) for e in seq[1::2]):
+        raise InputError("edge entries must be lists of integers")
+    edges = [tuple(e) for e in seq[1::2]]
     if kind == "path":
         return WeakPath(tuple(vertices), tuple(edges))
     if kind == "cycle":

@@ -26,7 +26,6 @@ from weakham import (
     make_config,
     p_from_c,
     posa_set,
-    rotate,
     run_experiment,
     sample_gnp,
     stalled_path,
@@ -35,6 +34,8 @@ from weakham import (
     weak_cycle_of_length,
 )
 from weakham.hypercore import neighbors
+
+from conftest import audit_rotations
 
 SEED = 20260815  # committed acceptance seed; results below are pinned to it
 
@@ -60,7 +61,8 @@ def _cols(tab, *names):
 @pytest.fixture(scope="module")
 def posa_scan():
     """One pass over 200 random hypergraphs (n <= 40, d in {3,4}): stalled
-    paths, their closures, and every rotation performed along the way."""
+    paths, their closures, and an audit of every closure representative as
+    a rotation of another."""
     rotation_faults = []
     closure_faults = []
     rotations = 0
@@ -76,21 +78,9 @@ def posa_scan():
             continue
         instances += 1
         P = stalled_path(H, rng=SeededRng(SEED, s))
-
-        checks = []
-
-        def hook(before, e, i, after, H=H, checks=checks):
-            checks.append((before, e, i, after))
-
-        ps = posa_set(H, P, P.first, on_rotate=hook)
-        rotations += len(checks)
-        for before, e, i, after in checks:
-            if after != rotate(before, e, i):
-                rotation_faults.append((s, "rotation mismatch"))
-            if after.vertex_set != P.vertex_set or after.first != P.first:
-                rotation_faults.append((s, "vertex set or anchor changed"))
-            if not validate(after, H).ok:
-                rotation_faults.append((s, validate(after, H).violation))
+        ps = posa_set(H, P, P.first)
+        rotations += len(ps.representatives) - 1  # one per non-base endpoint
+        rotation_faults.extend((s, f) for f in audit_rotations(H, P, ps))
         S = frozenset(ps.endpoints)
         N = neighbors(H, S)
         if not ps.saturated:

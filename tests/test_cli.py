@@ -225,6 +225,23 @@ def test_check_malformed_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def not_utf8(tmp_path):
+    path = os.fspath(tmp_path / "bad.txt")
+    with open(path, "wb") as f:
+        f.write(b"\xff\xfe")
+    return path
+
+
+def _assert_not_utf8_error(rc, capsys, path):
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+
+
+def test_check_non_utf8_file_is_input_error(not_utf8, capsys):
+    _assert_not_utf8_error(run_cli("check", "--in", not_utf8), capsys, not_utf8)
+
+
 # ------------------------------------------------------------------------ exp
 
 
@@ -282,6 +299,12 @@ def test_exp_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exp_non_utf8_config_is_input_error(tmp_path, not_utf8, capsys):
+    rc = run_cli("exp", "threshold", "--config", not_utf8,
+                 "--out", os.fspath(tmp_path / "x.csv"))
+    _assert_not_utf8_error(rc, capsys, not_utf8)
+
+
 def test_exp_worker_error_keeps_its_exit_code(tmp_path, capsys):
     # c = 30000 clamps p to 1, and drawing all C(231, 3) d-sets raises
     # CapabilityError inside a fork-pool worker
@@ -321,6 +344,12 @@ def test_plot_missing_input(tmp_path, capsys):
                  "--out", os.fspath(tmp_path / "x.svg"))
     assert rc == 1
     capsys.readouterr()
+
+
+def test_plot_non_utf8_input_is_input_error(tmp_path, not_utf8, capsys):
+    rc = run_cli("plot", "--in", not_utf8, "--out", os.fspath(tmp_path / "x.svg"))
+    _assert_not_utf8_error(rc, capsys, not_utf8)
+    assert not os.path.exists(tmp_path / "x.svg")
 
 
 # ------------------------------------------------------------------ module run

@@ -270,6 +270,23 @@ def test_poisson_run_distribution_shape():
     assert mean_th == pytest.approx(math.exp(0.0), rel=1e-12)
 
 
+def test_poisson_pvalue_equals_scipy_stats_chi2_sf():
+    from scipy.stats import chi2
+
+    checked = 0
+    for seed in ("1", "2"):
+        cfg = make_config(
+            "poisson", {"n": "100", "trials": "300", "c_grid": "-1,0,1,2", "seed": seed}
+        )
+        tab = run_experiment(cfg)
+        for stat, dof, pvalue in zip(*(tab.column(name) for name in
+                                       ("chisq_stat", "chisq_dof", "chisq_pvalue"))):
+            if dof:  # an empty cell when too few bins expect 5 samples
+                assert float(pvalue) == chi2.sf(float(stat), int(dof))
+                checked += 1
+    assert checked >= 8
+
+
 def test_process_run_necessary_condition_never_violated():
     cfg = make_config("process", {"n": "8", "trials": "10", "seed": "3"})
     tab = run_experiment(cfg)
@@ -342,6 +359,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
          {"n": "200", "d": "3", "c_grid": "-1,0,1,2", "trials": "64"}),
         # the edge process decided exactly on every prefix from tau on
         ("process", "process_gold.csv", {"n": "16", "d": "3", "trials": "24"}),
+        # the greedy probe on 32 cells, two a values
+        ("pab", "pab_gold.csv",
+         {"d": "3", "a_grid": "3,5", "p_grid": "0.02,0.1", "trials": "2000"}),
     ],
 )
 def test_table_matches_gold_file(kind, name, opts):

@@ -17,11 +17,9 @@ from weakham import (
     InputError,
     SeededRng,
     decide_weak_hamiltonian,
-    exact_spanning_cycle_on_v1,
     exact_weak_hamiltonian,
     has_weak_cycle_of_length,
     isolated_vertices,
-    non_isolated_vertices,
     sample_gnp,
     validate,
     weak_cycle_of_length,
@@ -195,45 +193,6 @@ def test_decide_keeps_the_search_provenance():
     assert (chain.answer, chain.method) == ("no", "search")
     assert chain.search.impossible is not None
     assert chain.note == chain.search.impossible
-
-
-# ------------------------------------------------------- spanning on covered
-
-
-def test_spanning_on_v1_ignores_isolated():
-    Hs = H(6, 3, list(combinations(range(5), 3)))
-    assert exact_weak_hamiltonian(Hs).answer == "no"
-    v = exact_spanning_cycle_on_v1(Hs)
-    assert v.answer == "yes"
-    assert v.witness.spanned == frozenset(range(5))
-    assert validate(v.witness, Hs).ok
-
-
-def test_spanning_on_v1_equals_hamiltonicity_after_relabel():
-    # induced() keeps labels, so compact the covered vertices by hand and
-    # compare against plain hamiltonicity of the relabeled hypergraph.
-    for s in range(25):
-        Hs = _gnp(8, 3, 0.12, seed=5000 + s)
-        V1 = non_isolated_vertices(Hs)
-        a = exact_spanning_cycle_on_v1(Hs).answer
-        if len(V1) < 3:
-            assert a == "no"
-            continue
-        idx = {v: k for k, v in enumerate(V1)}
-        sub = Hypergraph.from_edges(
-            len(V1), Hs.d, [tuple(idx[v] for v in e) for e in Hs.edges]
-        )
-        assert a == exact_weak_hamiltonian(sub).answer
-
-
-def test_spanning_on_v1_edgeless():
-    assert exact_spanning_cycle_on_v1(H(5, 3, [])).answer == "no"
-
-
-def test_spanning_on_v1_capability_limit():
-    chain = [tuple(range(i, i + 3)) for i in range(19)]
-    with pytest.raises(CapabilityError, match=r"handles \|V1\| <= 20"):
-        exact_spanning_cycle_on_v1(H(21, 3, chain))
 
 
 # --------------------------------------------------------- cycles of length l

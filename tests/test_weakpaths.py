@@ -20,7 +20,7 @@ from weakham import (
     WeakPath,
     booster_edges,
     booster_lower_bound,
-    exact_spanning_cycle_on_v1,
+    exact_weak_hamiltonian,
     GnpParams,
     has_weak_cycle_of_length,
     isolated_vertices,
@@ -41,7 +41,7 @@ from weakham import (
 )
 from weakham.weakpaths import default_rotation_budget
 
-from conftest import complete_hypergraph, hypergraphs
+from conftest import audit_rotations, complete_hypergraph, hypergraphs
 
 
 def H(n, d, edges):
@@ -258,21 +258,24 @@ def test_posa_set_records_base_and_anchor():
     assert ps.base == P
 
 
-def test_posa_set_on_rotate_reports_sound_rotations():
-    seen = []
-
-    def hook(before, e, i, after):
-        seen.append((before, e, i, after))
-
+def test_posa_set_representatives_are_sound_rotations():
     Hs = H(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
     P = WeakPath((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
-    posa_set(Hs, P, 0, on_rotate=hook)
-    assert seen  # the square forces at least one rotation
-    for before, e, i, after in seen:
-        assert after == rotate(before, e, i)
-        assert after.vertex_set == P.vertex_set
-        assert after.first == 0
-        assert validate(after, Hs).ok
+    ps = posa_set(Hs, P, 0)
+    assert len(ps.representatives) > 1  # the square forces at least one rotation
+    assert audit_rotations(Hs, P, ps) == []
+
+
+def test_posa_set_lifts_other_representatives_through_smallest_cover_edges():
+    # the base path enters 3 through (1, 2, 3), not the smaller (0, 2, 3);
+    # the base is kept as given, the rotated representative is lifted
+    Hs = H(4, 3, [(0, 1, 2), (0, 2, 3), (1, 2, 3)])
+    P = WeakPath((0, 1, 2, 3), ((0, 1, 2), (1, 2, 3), (1, 2, 3)))
+    ps = posa_set(Hs, P, 0)
+    assert ps.representatives[3] is P
+    assert ps.representatives[2] == lift_path(Hs, (0, 1, 3, 2))
+    assert ps.representatives[2].edges == ((0, 1, 2), (1, 2, 3), (0, 2, 3))
+    assert ps.representatives[2] != rotate(P, (1, 2, 3), 1)
 
 
 def test_posa_set_saturated_implies_inequality_on_stalled_paths():
@@ -460,11 +463,19 @@ def test_search_certifies_a_forced_triangle_at_n1000():
     assert out.impossible.startswith("forced shadow edges close a cycle through 3 of")
 
 
+def _spans_v1_exactly(Hs):
+    """Whether a weak cycle spans V1(Hs): the exact oracle on Hs with its
+    non-isolated vertices relabelled 0..|V1|-1."""
+    idx = {v: k for k, v in enumerate(non_isolated_vertices(Hs))}
+    sub = Hypergraph.from_edges(len(idx), Hs.d, [tuple(idx[v] for v in e) for e in Hs.edges])
+    return exact_weak_hamiltonian(sub).yes
+
+
 @given(hypergraphs(max_n=12, ds=(2, 3, 4)))
 def test_forced_edge_certificate_never_fires_on_a_yes(Hs):
     out = rotation_extension_search(Hs, rng=SeededRng(0))
     if len(non_isolated_vertices(Hs)) >= 3 and out.impossible is not None:
-        assert exact_spanning_cycle_on_v1(Hs).answer == "no"
+        assert not _spans_v1_exactly(Hs)
     if out.complete:
         assert out.impossible is None
 
@@ -577,6 +588,14 @@ def test_weak_json_rejects_bad_documents():
         weak_from_json("not json at all {")
     with pytest.raises(InputError, match="must alternate"):
         weak_from_json('{"kind":"path","sequence":[[0,1,2],0]}')
+    with pytest.raises(InputError, match="vertex entries must be integers"):
+        weak_from_json('{"kind":"path","sequence":[0,[0,1],true]}')
+    # an int, a string, a float, a bool or null where an edge or its vertex belongs
+    for seq in ("[0,5,1]", '[0,[0,"a"],1]', '[0,"01",1]', "[0,[0,1.5],1]", "[0,[0,true],1]",
+                "[0,null,1]"):
+        for kind in ("path", "cycle"):
+            with pytest.raises(InputError, match="edge entries must be lists of integers"):
+                weak_from_json(f'{{"kind":"{kind}","sequence":{seq}}}')
 
 
 @given(hypergraphs(min_n=3, max_n=9, min_edges=1, max_edges=10))
