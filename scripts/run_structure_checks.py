@@ -39,7 +39,7 @@ def main() -> int:
     }))
     path = os.path.join(args.out_dir, "expansion.csv")
     expansion.save(path)
-    single = [str(x) == "True" for x in expansion.column("single_nontrivial")]
+    single = [x == "1" for x in expansion.column("single_nontrivial")]
     print(f"wrote {path}: {len(expansion.rows)} rows")
     print(f"  single non-trivial component in {sum(single)}/{len(single)} trials")
 

@@ -139,8 +139,8 @@ def _cmd_exp(args) -> int:
         value = getattr(args, key)
         if value is not None:
             options[key] = value
-    out = args.out or options.pop("out", None) or f"{args.kind}.csv"
-    options.pop("out", None)
+    out = options.pop("out", None)
+    out = args.out or out or f"{args.kind}.csv"
     cfg = make_config(args.kind, options)
     table = run_experiment(cfg)
     table.save(out)

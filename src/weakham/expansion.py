@@ -75,10 +75,10 @@ def _size_cap(v1_size: int) -> int:
     return v1_size // 3 + 1
 
 
-def u_exact(H: Hypergraph, limit: int = U_EXACT_MAX_V1) -> ExpansionReport:
+def u_exact(H: Hypergraph) -> ExpansionReport:
     """Exhaustive u(H): smallest non-expanding A ⊆ V1(H) by ascending size
-    and lexicographic order within each size. Requires |V1| <= limit; larger
-    inputs raise CapabilityError (use u_sampled_check there).
+    and lexicographic order within each size. Requires |V1| <= U_EXACT_MAX_V1
+    (22); larger inputs raise CapabilityError (use u_sampled_check there).
 
     Equivalently, u(H) is the largest u such that every nonempty A ⊆ V1 with
     |A| < u expands. Adding edges to a connected hypergraph cannot decrease
@@ -88,9 +88,9 @@ def u_exact(H: Hypergraph, limit: int = U_EXACT_MAX_V1) -> ExpansionReport:
     v1 = sorted(non_isolated_vertices(H))
     if not v1:
         return ExpansionReport(u=1, witness=None, exhaustive=True, v1_size=0)
-    if len(v1) > limit:
+    if len(v1) > U_EXACT_MAX_V1:
         raise CapabilityError(
-            f"|V1| = {len(v1)} exceeds the exhaustive bound {limit}; "
+            f"|V1| = {len(v1)} exceeds the exhaustive bound {U_EXACT_MAX_V1}; "
             "use u_sampled_check for one-sided evidence"
         )
     masks = H.shadow.adj_masks
@@ -348,6 +348,8 @@ def greedy_probe(
         raise InputError(f"p must lie in [0, 1], got {p}")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
+    if b > 63:
+        raise CapabilityError(f"b = {b} B-vertices do not fit the int64 cover masks (b <= 63)")
     cand = _mixed_candidates(a, b, d)
     ncand = len(cand)
     bvert_members: list[np.ndarray] = []

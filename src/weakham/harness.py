@@ -115,7 +115,6 @@ class ExperimentConfig:
     a_grid: tuple[int, ...] = (4, 6, 8)
     b_grid: tuple[int, ...] = ()
     p_grid: tuple[float, ...] = _DEFAULT_P_GRID
-    out: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -261,8 +260,6 @@ def make_config(experiment: str, options: Mapping[str, str]) -> ExperimentConfig
             kwargs[key] = _parse_scalar_list(val, float)
         elif key in _INT_LIST_KEYS:
             kwargs[key] = _parse_scalar_list(val, int)
-        elif key == "out":
-            kwargs[key] = val
         else:
             raise InputError(f"unknown config key {key!r}")
     return ExperimentConfig(**kwargs)
@@ -317,7 +314,7 @@ class Table:
             idx = self.columns.index(name)
         except ValueError as exc:
             raise InputError(f"no column {name!r} in {self.kind} table") from exc
-        return [str(row[idx]) for row in self.rows]
+        return [_cell(row[idx]) for row in self.rows]
 
 
 def read_table(text: str) -> Table:
@@ -476,17 +473,6 @@ def _require(cfg: ExperimentConfig, experiment: str) -> None:
         )
 
 
-def _mindeg_chunk(args) -> int:
-    n, d, p, master, base, count = args
-    hits = 0
-    params = GnpParams(n, d, p)
-    for t in range(count):
-        covered = sampled_covered_vertices(params, SeededRng(master, base + t))
-        if covered.all():
-            hits += 1
-    return hits
-
-
 def estimate_mindeg_probability(
     n: int, d: int, c: float, trials: int, seed: int, workers: int = 1
 ) -> float:
@@ -495,15 +481,9 @@ def estimate_mindeg_probability(
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     p = p_from_c(n, d, c)
-    chunk = 250
-    items = []
-    start = 0
-    while start < trials:
-        count = min(chunk, trials - start)
-        items.append((n, d, p, seed, start, count))
-        start += count
-    hits = sum(_map_tasks(_mindeg_chunk, items, workers))
-    return hits / trials
+    items = [(n, d, p, seed, t) for t in range(trials)]
+    isolated = _map_tasks(_poisson_trial, items, workers)
+    return isolated.count(0) / trials
 
 
 # --- isolated-count distribution -------------------------------------------------
@@ -600,7 +580,7 @@ def _process_trial(args) -> ProcessRecord:
     tau = int(first.max()) // d + 1
     t_ham = None
     for idx in range(tau, len(rows) + 1):
-        H = Hypergraph.from_edges(n, d, map(tuple, rows[:idx].tolist()))
+        H = Hypergraph._from_rows(n, d, rows[:idx])
         verdict = decide_weak_hamiltonian(
             H, budget=budget, rng=rng.shifted(_SEARCH_LANE + idx), oracle_cutoff=cutoff
         )

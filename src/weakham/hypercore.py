@@ -21,6 +21,11 @@ position over C(d, 2) is the lexicographically smallest edge covering the
 pair, the edge a shadow path is lifted through. The shadow's adjacency
 lists are split from the sorted symmetric pairs, and its bitmasks are
 packed from them as uint64 words.
+
+Neighborhoods and connectivity are read off those bitmasks: N(V) is the OR
+of the masks of V less V, and every connectivity question in the package
+(components, is_connected_on, the certificates of the oracle and of the
+search) is one breadth-first search over masks, `_reach`.
 """
 
 from __future__ import annotations
@@ -196,9 +201,6 @@ class ShadowGraph:
     adj: tuple[tuple[int, ...], ...]
     adj_masks: tuple[int, ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
@@ -233,18 +235,18 @@ def non_isolated_vertices(H: Hypergraph) -> tuple[int, ...]:
 
 
 def neighbors(H: Hypergraph, V: Iterable[int]) -> frozenset[int]:
-    """N(V) = {w not in V : some edge contains w and some v in V}.
+    """N(V) = {w not in V : some edge contains w and some v in V}: the union
+    of the shadow neighborhoods of V, less V.
 
     Disjoint from V by definition; always a subset of V1(H).
     """
-    vs = set(V)
-    for v in vs:
+    masks = H.shadow.adj_masks
+    vmask = reach = 0
+    for v in set(V):
         _check_vertex(H, v)
-    out: set[int] = set()
-    for e in H.edges:
-        if any(v in vs for v in e):
-            out.update(e)
-    return frozenset(out - vs)
+        vmask |= 1 << v
+        reach |= masks[v]
+    return frozenset(_members(reach & ~vmask))
 
 
 def shadow_graph(H: Hypergraph) -> ShadowGraph:
@@ -284,41 +286,44 @@ def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
     return Hypergraph(n=H.n, d=H.d, edges=kept)
 
 
-def _union_find(n: int, groups: Iterable[Sequence[int]]):
-    """Merge the members of each group (ints in range(n)); returns `find`,
-    which maps an element to its root, equal for joined elements."""
-    parent = list(range(n))
+def _reach(masks: Sequence[int], seed: int) -> int:
+    """The vertices that breadth-first search over the adjacency bitmasks
+    `masks` reaches from the vertex bitmask `seed`, as a bitmask that
+    includes `seed`."""
+    seen = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for g in groups:
-        r = find(g[0])
-        for v in g[1:]:
-            rv = find(v)
-            if rv != r:
-                parent[rv] = r
-    return find
+def _members(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def components(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Connected components of the shadow graph, isolated vertices as
-    singletons, ordered by smallest member.
-
-    Computed by union-find directly over hyperedges (each edge merges its d
-    vertices), which is equivalent to shadow BFS; the equivalence is covered
-    by tests.
-    """
-    find = _union_find(H.n, H.edges)
-    groups: dict[int, set[int]] = {}
-    for v in range(H.n):
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(
-        frozenset(g) for g in sorted(groups.values(), key=min)
-    )
+    singletons, ordered by smallest member: each is the search of `_reach`
+    from the smallest vertex not yet in a component."""
+    masks = H.shadow.adj_masks
+    left = (1 << H.n) - 1
+    out = []
+    while left:
+        comp = _reach(masks, left & -left)
+        out.append(frozenset(_members(comp)))
+        left &= ~comp
+    return tuple(out)
 
 
 def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
@@ -332,10 +337,8 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
         _check_vertex(H, v)
     if len(ws) <= 1:
         return True
-    wset = set(ws)
-    find = _union_find(H.n, (e for e in H.edges if wset.issuperset(e)))
-    root = find(ws[0])
-    return all(find(v) == root for v in ws)
+    reached = _reach(induced(H, ws).shadow.adj_masks, 1 << ws[0])
+    return reached.bit_count() == len(ws)
 
 
 # --- text format ------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from . import _bitdp
 from .errors import CapabilityError, InputError
-from .hypercore import Hypergraph, is_connected_on, isolated_vertices
+from .hypercore import Hypergraph, _reach, isolated_vertices
 from .randmodels import SeededRng
 from .weakpaths import (SearchOutcome, WeakCycle, lift_cycle, rotation_extension_search,
                         validate, weak_to_json)
@@ -174,7 +174,7 @@ def exact_weak_hamiltonian(H: Hypergraph, method: str = "dp") -> OracleVerdict:
     if method not in ("dp", "backtracking-direct"):
         raise InputError(f"unknown oracle method {method!r}")
     note = _trivial_no(H)
-    if note is None and not is_connected_on(H, range(H.n)):
+    if note is None and _reach(H.shadow.adj_masks, 1) != (1 << H.n) - 1:
         note = "vertex set is disconnected"
     if note is not None:
         return OracleVerdict("no", None, method, note=note)

@@ -103,14 +103,20 @@ class GnmParams:
 # --- parameter maps ---------------------------------------------------------
 
 
+def _check_offset(n: int, c: float) -> None:
+    if n < 2:
+        raise InputError(f"n must be >= 2, got {n}")
+    if not math.isfinite(c):
+        raise InputError(f"c must be finite, got {c}")
+
+
 def p_from_c(n: int, d: int, c: float) -> float:
     """Edge probability at offset c: (d-1)!*(ln n + c)/n^(d-1), clamped to [0,1].
 
     Clamping (very negative c, or tiny n pushing the value above 1) emits a
     UserWarning rather than failing: sweeps over wide c-grids are expected.
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    _check_offset(n, c)
     raw = math.factorial(d - 1) * (math.log(n) + c) / n ** (d - 1)
     if raw < 0.0:
         warnings.warn(f"p_from_c(n={n}, d={d}, c={c}) = {raw} clamped to 0", stacklevel=2)
@@ -123,8 +129,7 @@ def p_from_c(n: int, d: int, c: float) -> float:
 
 def m_from_c(n: int, d: int, c: float) -> int:
     """Edge count at offset c: round(n*(ln n + c)/d), clamped to [0, C(n,d)]."""
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    _check_offset(n, c)
     raw = n * (math.log(n) + c) / d
     m = round(raw)
     total = math.comb(n, d)

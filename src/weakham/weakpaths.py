@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -35,12 +34,7 @@ import numpy as np
 
 from . import _engine
 from .errors import CapabilityError, InputError
-from .hypercore import (
-    Hypergraph,
-    _union_find,
-    neighbors,
-    non_isolated_vertices,
-)
+from .hypercore import Hypergraph, _reach, neighbors, non_isolated_vertices
 from .randmodels import SeededRng
 
 __all__ = [
@@ -151,7 +145,7 @@ def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult
     """Check a WeakPath/WeakCycle against its host hypergraph.
 
     Reports the first violated clause: distinct vertices, vertex range,
-    cycle length, edge membership in E(H), consecutive-pair coverage, and —
+    edge membership in E(H), consecutive-pair coverage, and —
     only when strict_edges — pairwise-distinct edges (the strict Berge
     variant; weak objects are allowed to repeat edges).
     """
@@ -164,8 +158,6 @@ def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult
     for v in vs:
         if not (0 <= v < H.n):
             return ValidationResult(False, f"vertex {v} out of range [0, {H.n})")
-    if is_cycle and len(vs) < 3:  # unreachable via constructor; kept for parity
-        return ValidationResult(False, "cycle too short")
     edge_set = H.edge_set
     for k, e in enumerate(obj.edges):
         if e not in edge_set:
@@ -406,45 +398,37 @@ def _forced_edge_obstruction(H: Hypergraph, v1) -> str | None:
     vertex with exactly two shadow neighbors forces both edges into it. No
     spanning cycle exists if some vertex has fewer than two neighbors, lies
     on more than two forced edges, or if the forced edges close a cycle that
-    misses part of V1. Linear in |V1|.
+    misses part of V1; of several such cycles, the note names the one
+    through the smallest vertex.
     """
-    adj = H.shadow.adj
-    forced = set()
+    shadow = H.shadow
+    forced = [0] * H.n  # forced[v]: bitmask of v's forced shadow neighbors
     for v in v1:
-        k = len(adj[v])
+        k = len(shadow.adj[v])
         if k < 2:
             return f"vertex {v} has only {k} shadow neighbor (a spanning cycle needs 2)"
         if k == 2:
-            forced.update((v, w) if v < w else (w, v) for w in adj[v])
-    load = Counter(v for e in forced for v in e)
-    over = [v for v, k in load.items() if k > 2]
-    if over:
-        v = min(over)
-        return f"vertex {v} lies on {load[v]} forced shadow edges (a spanning cycle uses 2)"
-    # forced edges now form paths and cycles; a part with as many edges as
-    # vertices is a cycle
-    find = _union_find(H.n, forced)
-    size = Counter(map(find, v1))
-    for r, k in Counter(find(u) for u, _ in forced).items():
-        if k == size[r] < len(v1):
+            forced[v] = shadow.adj_masks[v]
+            for w in shadow.adj[v]:
+                forced[w] |= 1 << v
+    ends = left = 0
+    for v in v1:
+        k = forced[v].bit_count()
+        if k > 2:
+            return f"vertex {v} lies on {k} forced shadow edges (a spanning cycle uses 2)"
+        if k:
+            left |= 1 << v
+        if k == 1:
+            ends |= 1 << v
+    # forced edges now form paths and cycles; a part with no vertex on only
+    # one forced edge is a cycle
+    while left:
+        part = _reach(forced, left & -left)
+        k = part.bit_count()
+        if not part & ends and k < len(v1):
             return f"forced shadow edges close a cycle through {k} of {len(v1)} non-isolated vertices"
+        left &= ~part
     return None
-
-
-def _spans_connected(masks, v1) -> bool:
-    """True iff breadth-first search over the shadow bitmasks from v1[0]
-    reaches all of V1. The search never leaves V1, which holds every edge,
-    so this agrees with is_connected_on(H, v1)."""
-    seen = frontier = 1 << v1[0]
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen.bit_count() == len(v1)
 
 
 def rotation_extension_search(
@@ -469,7 +453,7 @@ def rotation_extension_search(
     v1 = non_isolated_vertices(H)
     if len(v1) < 3:
         reason = f"only {len(v1)} non-isolated vertices (cycles need 3)"
-    elif not _spans_connected(H.shadow.adj_masks, v1):
+    elif _reach(H.shadow.adj_masks, 1 << v1[0]).bit_count() < len(v1):
         reason = "non-isolated vertices are disconnected"
     else:
         reason = _forced_edge_obstruction(H, v1)
@@ -499,7 +483,6 @@ def stalled_path(
     H: Hypergraph,
     rng: SeededRng | None = None,
     budget: int | None = None,
-    attempts: int = 1,
 ) -> WeakPath:
     """Grow-and-rotate on the shadow until no closure endpoint can extend;
     returns the stalled path (saturated in the posa_set sense). Used to
@@ -512,7 +495,7 @@ def stalled_path(
     gen = (rng or SeededRng(0, 0)).generator()
     shadow = H.shadow
     _, best, _, _, exhausted = _engine.search(
-        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts, close=False
+        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts=1, close=False
     )
     if exhausted:
         raise CapabilityError("rotation budget exhausted before any stalled path")

@@ -289,7 +289,7 @@ def test_criterion_10_one_nontrivial_component(capsys):
          "seed": str(SEED), "samples": "2000", "workers": "8"},
     )
     tab = run_experiment(cfg)
-    single = [x == "True" for x in map(str, tab.column("single_nontrivial"))]
+    single = [x == "1" for x in tab.column("single_nontrivial")]
     frac = sum(single) / len(single)
     _report(capsys, 10, "single-nontrivial-component", frac >= 0.9,
             f"{sum(single)}/{len(single)} trials has exactly one "

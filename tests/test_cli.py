@@ -137,6 +137,27 @@ def test_binomial_count_overflow_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_non_finite_c_is_input_error(tmp_path, capsys):
+    out = os.fspath(tmp_path / "h.txt")
+    for model, c in (("gnm", "nan"), ("gnp", "inf")):
+        rc = run_cli("gen", "--n", "30", "--d", "3", "--model", model, "--c", c, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: c must be finite, got {c}\n"
+    rc = run_cli("exp", "gnm", "--n", "30", "--c-grid=inf", "--trials", "2", "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: c must be finite, got inf\n"
+    assert not os.path.exists(out)
+
+
+def test_pab_beyond_the_mask_width_is_exit_2(tmp_path, capsys):
+    out = os.fspath(tmp_path / "p.csv")
+    rc = run_cli("exp", "pab", "--a-grid", "40", "--b-grid", "70", "--p-grid", "0.9",
+                 "--trials", "5", "--out", out)
+    assert rc == 2
+    assert "(b <= 63)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------- check
 
 
@@ -267,6 +288,17 @@ def test_exp_config_file_with_flag_override(tmp_path):
                    "--out", out2) == 0
     assert open(out1).read() == open(out2).read()
     assert load_table(out1).column("trials") == ["4"]
+
+
+def test_exp_out_in_config_file_picks_the_table_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open("exp.cfg", "w") as f:
+        f.write("n = 6\ntrials = 2\nseed = 1\nout = from_config.csv\n")
+    assert run_cli("exp", "process", "--config", "exp.cfg") == 0
+    assert load_table("from_config.csv").kind == "process"
+    assert run_cli("exp", "process", "--config", "exp.cfg", "--out", "flag.csv") == 0
+    assert open("flag.csv").read() == open("from_config.csv").read()
+    assert not os.path.exists("process.csv")
 
 
 def test_exp_out_defaults_into_cwd(tmp_path, monkeypatch, capsys):

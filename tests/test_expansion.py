@@ -111,8 +111,6 @@ def test_u_exact_capability_limit():
     chain = [tuple(range(i, i + 3)) for i in range(38)]
     with pytest.raises(CapabilityError, match="exceeds the exhaustive bound 22"):
         u_exact(H(40, 3, chain))
-    with pytest.raises(CapabilityError, match="exhaustive bound 2"):
-        u_exact(TRIANGLE, limit=2)
 
 
 def test_u_exact_matches_brute_force():
@@ -382,6 +380,13 @@ def test_greedy_probe_rejects_bad_parameters():
         greedy_probe(4, 3, 3, 1.5, trials=2, rng=SeededRng(0))
     with pytest.raises(InputError, match="need d >= 2"):
         greedy_probe(4, 3, 1, 0.5, trials=2, rng=SeededRng(0))
+
+
+def test_greedy_probe_caps_b_at_the_int64_mask_width():
+    assert greedy_probe(3, 63, 3, 0.9, trials=20, rng=SeededRng(0)).successes == 20
+    for b in (64, 70):
+        with pytest.raises(CapabilityError, match=r"\(b <= 63\)"):
+            greedy_probe(3, b, 3, 0.9, trials=20, rng=SeededRng(0))
 
 
 def test_greedy_probe_deterministic():

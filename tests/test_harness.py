@@ -295,7 +295,7 @@ def test_process_run_necessary_condition_never_violated():
     taus = [int(x) for x in tab.column("tau")]
     tham = [int(x) for x in tab.column("t_ham")]
     gaps = [int(x) for x in tab.column("gap")]
-    equal = [x == "True" for x in (str(v) for v in tab.column("equal"))]
+    equal = [x == "1" for x in tab.column("equal")]
     for a, b, g, e in zip(taus, tham, gaps, equal):
         assert 1 <= a <= b  # cover time never exceeds the cycle hitting time
         assert g == b - a

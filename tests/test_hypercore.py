@@ -29,9 +29,9 @@ from weakham import (
     parse_hypergraph,
     shadow_graph,
 )
-from weakham.weakpaths import _spans_connected
+from weakham.hypercore import _reach
 
-from conftest import complete_hypergraph, hypergraphs
+from conftest import complete_hypergraph, hypergraphs, vertex_subsets
 
 
 def H(n, d, edges):
@@ -141,6 +141,16 @@ def test_neighbors_out_of_range():
         neighbors(H(3, 3, [(0, 1, 2)]), {5})
 
 
+@given(hypergraphs(max_n=10, ds=(2, 3, 4)), st.data())
+def test_neighbors_match_edge_scan(h, data):
+    V = data.draw(vertex_subsets(h.n))
+    want = set()
+    for e in h.edges:
+        if V & set(e):
+            want.update(e)
+    assert neighbors(h, V) == frozenset(want - V)
+
+
 @given(hypergraphs(max_n=10))
 def test_neighbors_disjoint_and_non_isolated(h):
     for size in range(min(h.n, 4)):
@@ -238,7 +248,8 @@ def test_components_two_blocks():
     assert got == {frozenset(range(5)), frozenset({5, 6, 7})}
 
 
-def _union_find_components(h):
+def _merged_components(h):
+    """Components by merging the vertices of each edge (union-find)."""
     parent = list(range(h.n))
 
     def find(x):
@@ -257,8 +268,8 @@ def _union_find_components(h):
 
 
 @given(hypergraphs(max_n=12))
-def test_components_agree_with_union_find(h):
-    assert set(components(h)) == _union_find_components(h)
+def test_components_agree_with_edge_merging(h):
+    assert components(h) == tuple(sorted(_merged_components(h), key=min))
 
 
 def test_is_connected_on():
@@ -271,8 +282,9 @@ def test_is_connected_on():
 
 # ------------------------------------- array-built structures vs scalar loops
 #
-# The degrees, shadow, masks, cover edges and V1 connectivity are built from
-# the (m, d) row array with numpy; these are the plain loops they replace.
+# The degrees, shadow, masks and cover edges are built from the (m, d) row
+# array with numpy, and connectivity is a search over the masks; these are
+# the plain loops they replace.
 
 
 def _scalar_degrees(h):
@@ -366,7 +378,9 @@ def test_array_structures_match_scalar_loops(case):
     v1 = non_isolated_vertices(h)
     assert is_connected_on(h, v1) == _scalar_connected(h, v1)
     if v1:
-        assert _spans_connected(h.shadow.adj_masks, v1) == _scalar_connected(h, v1)
+        spans = _reach(h.shadow.adj_masks, 1 << v1[0]).bit_count() == len(v1)
+        assert spans == _scalar_connected(h, v1)
+    assert is_connected_on(h, walk) == _scalar_connected(h, walk)
     if not walk:
         return
     # covered walks lift through the lexicographically smallest edges, and

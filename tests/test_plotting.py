@@ -13,6 +13,7 @@ from weakham import (
     emit_plot,
     load_table,
     make_config,
+    read_table,
     render_threshold_svg,
     run_experiment,
 )
@@ -57,6 +58,22 @@ def test_render_accepts_gnm_tables():
     )
     svg = render_threshold_svg(run_experiment(cfg))
     assert svg.startswith("<svg ")
+
+
+def test_fresh_and_read_back_tables_give_the_same_columns_and_svg():
+    # with budget 1 and no oracle, no trial at c = 4 is decided, so its
+    # phat_ham cell is empty
+    cfg = make_config(
+        "threshold",
+        {"n": "40", "c_grid": "3,4", "trials": "2", "budget": "1",
+         "oracle_cutoff": "0", "seed": "0"},
+    )
+    fresh = run_experiment(cfg)
+    back = read_table(fresh.to_csv_text())
+    assert fresh.column("phat_ham")[1] == ""
+    for name in fresh.columns:
+        assert fresh.column(name) == back.column(name)
+    assert render_threshold_svg(fresh) == render_threshold_svg(back)
 
 
 def test_render_rejects_other_schemas():

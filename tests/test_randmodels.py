@@ -63,6 +63,14 @@ def test_p_from_c_rejects_tiny_n():
         p_from_c(1, 3, 0.0)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_offset_is_input_error(c):
+    with pytest.raises(InputError, match="c must be finite"):
+        p_from_c(100, 3, c)
+    with pytest.raises(InputError, match="c must be finite"):
+        m_from_c(100, 3, c)
+
+
 def test_m_from_c_reference_values():
     assert m_from_c(1000, 3, 0.0) == 2303
     assert m_from_c(27, 3, 0.0) == 30

@@ -453,6 +453,18 @@ def test_search_certifies_forced_edge_obstructions():
         "forced shadow edges close a cycle through 3 of 6 non-isolated vertices")
 
 
+@pytest.mark.parametrize("flip, k", [(False, 4), (True, 3)])
+def test_forced_edge_note_names_the_cycle_through_the_smallest_vertex(flip, k):
+    # degree-2 vertices 2, 5 force the 4-cycle 0-2-3-5 and 1, 7 force the
+    # triangle 1-4-7; flipping the labels moves vertex 0 into the triangle
+    edges = [(0, 2), (2, 3), (3, 5), (0, 5), (0, 3), (0, 4), (0, 6), (3, 4), (3, 6),
+             (4, 6), (1, 4), (4, 7), (1, 7)]
+    if flip:
+        edges = [(7 - u, 7 - v) for u, v in edges]
+    out = rotation_extension_search(H(8, 2, edges))
+    assert out.impossible == f"forced shadow edges close a cycle through {k} of 8 non-isolated vertices"
+
+
 def test_search_certifies_a_forced_triangle_at_n1000():
     # one hyperedge holds two vertices of degree 1, whose forced shadow edges
     # close a triangle; the search alone ends undecided after all restarts
