@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 
 __all__ = [
     "Hypergraph",
@@ -249,9 +250,24 @@ def neighbors(H: Hypergraph, V: Iterable[int]) -> frozenset[int]:
     return frozenset(_members(reach & ~vmask))
 
 
+# the shadow's bitmasks are packed as n rows of n // 64 + 1 uint64 words,
+# and building them peaks at about three times that; this bounds the words
+# (n up to about 46,300)
+_SHADOW_WORD_LIMIT = 1 << 28
+
+
 def shadow_graph(H: Hypergraph) -> ShadowGraph:
-    """Materialize the shadow: u ~ v iff some hyperedge contains both."""
+    """Materialize the shadow: u ~ v iff some hyperedge contains both.
+
+    Raises CapabilityError, before allocating, when the packed bitmasks
+    would take more than _SHADOW_WORD_LIMIT."""
     n = H.n
+    need = 8 * n * (n // 64 + 1)
+    if need > _SHADOW_WORD_LIMIT:
+        raise CapabilityError(
+            f"n={n}: the shadow bitmasks need {need} bytes, above the bound "
+            f"of {_SHADOW_WORD_LIMIT}"
+        )
     codes, _ = H._pairs
     u, v = np.divmod(codes, n)
     src, dst = np.divmod(np.sort(np.concatenate((codes, v * n + u))), n)
@@ -282,8 +298,10 @@ def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
     ws = set(W)
     for v in ws:
         _check_vertex(H, v)
-    kept = tuple(e for e in H.edges if all(v in ws for v in e))
-    return Hypergraph(n=H.n, d=H.d, edges=kept)
+    inw = np.zeros(H.n, dtype=bool)
+    inw[list(ws)] = True
+    keep = inw[H.rows].all(axis=1)
+    return Hypergraph(H.n, H.d, tuple(compress(H.edges, keep.tolist())), H.rows[keep])
 
 
 def _reach(masks: Sequence[int], seed: int) -> int:

@@ -79,10 +79,6 @@ class GnpParams:
         if not (0.0 <= self.p <= 1.0):
             raise InputError(f"p={self.p} outside [0, 1]")
 
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
 
 @dataclass(frozen=True)
 class GnmParams:
@@ -131,7 +127,8 @@ def m_from_c(n: int, d: int, c: float) -> int:
     """Edge count at offset c: round(n*(ln n + c)/d), clamped to [0, C(n,d)]."""
     _check_offset(n, c)
     raw = n * (math.log(n) + c) / d
-    m = round(raw)
+    # a huge finite c makes raw ±inf, which is clamped as it stands
+    m = round(raw) if math.isfinite(raw) else raw
     total = math.comb(n, d)
     if m < 0:
         warnings.warn(f"m_from_c(n={n}, d={d}, c={c}) = {m} clamped to 0", stacklevel=2)

@@ -149,13 +149,27 @@ def test_non_finite_c_is_input_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_pab_beyond_the_mask_width_is_exit_2(tmp_path, capsys):
+def test_huge_finite_c_is_clamped(tmp_path):
+    out = os.fspath(tmp_path / "h.txt")
+    with pytest.warns(UserWarning, match="= inf clamped to 120"):
+        rc = run_cli("gen", "--n", "10", "--d", "3", "--model", "gnm", "--c", "1e308",
+                     "--out", out)
+    assert rc == 0
+    assert load_hypergraph(out).m == 120
+    out = os.fspath(tmp_path / "t.csv")
+    with pytest.warns(UserWarning, match="= inf clamped to 4060"):
+        rc = run_cli("exp", "gnm", "--n", "30", "--c-grid=1e308", "--trials", "2",
+                     "--out", out)
+    assert rc == 0
+    assert load_table(out).column("m") == ["4060"]
+
+
+def test_pab_beyond_64_b_vertices(tmp_path):
     out = os.fspath(tmp_path / "p.csv")
     rc = run_cli("exp", "pab", "--a-grid", "40", "--b-grid", "70", "--p-grid", "0.9",
                  "--trials", "5", "--out", out)
-    assert rc == 2
-    assert "(b <= 63)" in capsys.readouterr().err
-    assert not os.path.exists(out)
+    assert rc == 0
+    assert load_table(out).column("successes") == ["5"]
 
 
 # ---------------------------------------------------------------------- check

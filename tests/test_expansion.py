@@ -9,7 +9,7 @@ import os
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakham import (
@@ -33,7 +33,7 @@ from weakham import (
     u_exact,
     u_sampled_check,
 )
-from weakham.expansion import SampledCheck, _SAMPLE_CHUNK
+from weakham.expansion import SampledCheck, _SAMPLE_CHUNK, _mixed_candidates
 
 from conftest import complete_hypergraph, hypergraphs
 
@@ -361,16 +361,67 @@ def test_minimal_sets_always_pass_the_predicate():
 # ---------------------------------------------------------------- greedy probe
 
 
+def _reference_walk(a, b, d, p, trials, rng):
+    """Successes of the greedy covering walk itself, trial by trial: cover
+    the lowest uncovered B-vertex with the first present candidate it has
+    not yet tested, in lexicographic order, until all of B is covered or one
+    vertex runs out of candidates. Cover masks are Python ints, so any b
+    fits. Presence is the same uniform stream greedy_probe draws in
+    batches, one row of candidates per trial."""
+    cand = _mixed_candidates(a, b, d)
+    cover = [sum(1 << (v - a) for v in e if v >= a) for e in cand]
+    members = [[i for i, m in enumerate(cover) if m >> j & 1] for j in range(b)]
+    need = -(-b // (d - 1))
+    full = (1 << b) - 1
+    successes = 0
+    for pres in (rng.generator().random((trials, len(cand))) < p).tolist():
+        tested = [False] * len(cand)
+        covered = found = 0
+        while covered != full:
+            j = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered
+            for i in members[j]:
+                if not tested[i]:
+                    tested[i] = True
+                    if pres[i]:
+                        covered |= cover[i]
+                        found += 1
+                        break
+            else:
+                break
+        if covered == full:
+            assert found >= need, (found, need)
+            successes += 1
+    return successes
+
+
+@given(
+    st.integers(2, 5),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.one_of(st.sampled_from([0.0, 1e-4, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 40),
+    st.integers(0, 2**16),
+)
+def test_greedy_probe_matches_the_walk(d, a, b, p, trials, seed):
+    assume(a + b >= d)
+    got = greedy_probe(a, b, d, p, trials, rng=SeededRng(seed))
+    assert got.successes == _reference_walk(a, b, d, p, trials, SeededRng(seed))
+
+
+def test_greedy_probe_matches_the_walk_across_batches():
+    # 1408 candidates give batches of 2840 trials, so 3000 trials take two
+    g = greedy_probe(8, 16, 3, 0.02, 3000, rng=SeededRng(4))
+    assert g.successes == _reference_walk(8, 16, 3, 0.02, 3000, SeededRng(4))
+
+
 def test_greedy_probe_certain_at_p_one():
     g = greedy_probe(4, 3, 3, 1.0, trials=5, rng=SeededRng(1))
     assert g.successes == g.trials == 5
-    assert g.edges_found == (3, 3, 3, 3, 3)
 
 
 def test_greedy_probe_hopeless_at_p_zero():
     g = greedy_probe(4, 3, 3, 1e-9, trials=5, rng=SeededRng(1))
     assert g.successes == 0
-    assert g.edges_found == (0, 0, 0, 0, 0)
 
 
 def test_greedy_probe_rejects_bad_parameters():
@@ -382,11 +433,13 @@ def test_greedy_probe_rejects_bad_parameters():
         greedy_probe(4, 3, 1, 0.5, trials=2, rng=SeededRng(0))
 
 
-def test_greedy_probe_caps_b_at_the_int64_mask_width():
-    assert greedy_probe(3, 63, 3, 0.9, trials=20, rng=SeededRng(0)).successes == 20
-    for b in (64, 70):
-        with pytest.raises(CapabilityError, match=r"\(b <= 63\)"):
-            greedy_probe(3, b, 3, 0.9, trials=20, rng=SeededRng(0))
+@pytest.mark.parametrize("b", [63, 64, 70])
+@pytest.mark.parametrize("p", [0.9, 0.02])
+def test_greedy_probe_has_no_cap_on_b(b, p):
+    got = greedy_probe(3, b, 3, p, trials=20, rng=SeededRng(0)).successes
+    assert got == _reference_walk(3, b, 3, p, 20, SeededRng(0))
+    if p == 0.9:
+        assert got == 20
 
 
 def test_greedy_probe_deterministic():

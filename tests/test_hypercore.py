@@ -3,6 +3,7 @@ induced subhypergraphs, components, and the canonical text format."""
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakham import (
+    CapabilityError,
     Hypergraph,
     InputError,
     components,
@@ -196,6 +198,20 @@ def test_degree_zero_iff_no_shadow_neighbors(h):
         assert (degree(h, v) == 0) == (len(s.adj[v]) == 0)
 
 
+def test_shadow_beyond_the_word_bound_is_capability_error():
+    # n = 10**5 would need 1.25 GB of mask words; the bound is checked
+    # before anything of size n**2 is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="shadow bitmasks need 1250400000 bytes"):
+            components(Hypergraph(10**5, 3, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert shadow_graph(Hypergraph(10**4, 3, ((0, 1, 2),))).has_edge(0, 2)
+
+
 # --------------------------------------------------------------------- induced
 
 
@@ -215,6 +231,15 @@ def test_induced_filters_by_containment():
 def test_induced_keeps_original_labels():
     h = induced(H(6, 3, [(3, 4, 5)]), {3, 4, 5})
     assert h.n == 6 and h.edges == ((3, 4, 5),)
+
+
+@given(hypergraphs(max_n=10, ds=(2, 3, 4)), st.data())
+def test_induced_matches_edge_filter(h, data):
+    W = data.draw(vertex_subsets(h.n))
+    want = Hypergraph(h.n, h.d, tuple(e for e in h.edges if set(e) <= W))
+    got = induced(h, W)
+    assert got == want
+    assert np.array_equal(got.rows, want.rows)
 
 
 @given(hypergraphs(max_n=9))

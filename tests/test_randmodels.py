@@ -84,6 +84,14 @@ def test_m_from_c_zero_and_clamp():
         assert m_from_c(6, 3, 1000.0) == math.comb(6, 3)
 
 
+def test_m_from_c_clamps_a_huge_finite_c():
+    # n (ln n + c) / d overflows to ±inf before the clamp, not in round()
+    with pytest.warns(UserWarning, match="= inf clamped to 120"):
+        assert m_from_c(10, 3, 1e308) == 120
+    with pytest.warns(UserWarning, match="= -inf clamped to 0"):
+        assert m_from_c(10, 3, -1e308) == 0
+
+
 def test_limiting_probability_values():
     assert limiting_probability(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert limiting_probability(2.0) == pytest.approx(0.8734230184931167, rel=1e-12)
