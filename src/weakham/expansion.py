@@ -5,7 +5,9 @@ A vertex set A is non-expanding when its external neighborhood is small:
 set of non-isolated vertices, or |V1|+1 when none exists — controls how many
 absent "booster" d-sets every longest path generates, so the module pairs
 exhaustive and randomized searches for such sets with structural predicates
-(connectedness of A together with its neighborhood for minimal A).
+(connectedness of A together with its neighborhood for minimal A). Both
+searches test their sets with one kernel, `_non_expanding`, over the
+shadow's bitmasks as uint64 rows.
 
 The greedy probe is a standalone Monte Carlo of the two-block edge-finding
 argument: fix disjoint blocks A (|A| = a) and B (|B| = b) and draw each
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
@@ -63,12 +65,11 @@ def is_non_expanding(H: Hypergraph, A: Iterable[int]) -> bool:
 class ExpansionReport:
     """u and its witness: u is the size of the smallest non-expanding subset
     of the non-isolated vertices (|V1| + 1 when none exists, which happens
-    exactly when V1 is empty); witness is one such set of size u, found
-    exhaustively when `exhaustive` is set."""
+    exactly when V1 is empty); witness is the first such set of size u in
+    `itertools.combinations` order over the sorted V1."""
 
     u: int
     witness: frozenset[int] | None
-    exhaustive: bool
     v1_size: int
 
 
@@ -80,34 +81,28 @@ def _size_cap(v1_size: int) -> int:
 
 def u_exact(H: Hypergraph) -> ExpansionReport:
     """Exhaustive u(H): smallest non-expanding A ⊆ V1(H) by ascending size
-    and lexicographic order within each size. Requires |V1| <= U_EXACT_MAX_V1
-    (22); larger inputs raise CapabilityError (use u_sampled_check there).
+    and `combinations` order within each size, each size scanned by
+    `_first_hit`. Requires |V1| <= U_EXACT_MAX_V1 (22); larger inputs raise
+    CapabilityError (use u_sampled_check there).
 
     Equivalently, u(H) is the largest u such that every nonempty A ⊆ V1 with
     |A| < u expands. Adding edges to a connected hypergraph cannot decrease
     it. Enumeration stops at size floor(|V1|/3) + 1, beyond which sets are
     unconditionally non-expanding.
     """
-    v1 = sorted(non_isolated_vertices(H))
+    v1 = non_isolated_vertices(H)
     if not v1:
-        return ExpansionReport(u=1, witness=None, exhaustive=True, v1_size=0)
+        return ExpansionReport(u=1, witness=None, v1_size=0)
     if len(v1) > U_EXACT_MAX_V1:
         raise CapabilityError(
             f"|V1| = {len(v1)} exceeds the exhaustive bound {U_EXACT_MAX_V1}; "
             "use u_sampled_check for one-sided evidence"
         )
-    masks = H.shadow.adj_masks
+    words = _shadow_words(H)
     for s in range(1, _size_cap(len(v1)) + 1):
-        for A in combinations(v1, s):
-            amask = 0
-            nmask = 0
-            for v in A:
-                amask |= 1 << v
-                nmask |= masks[v]
-            if (nmask & ~amask).bit_count() < 2 * s:
-                return ExpansionReport(
-                    u=s, witness=frozenset(A), exhaustive=True, v1_size=len(v1)
-                )
+        _, hit = _first_hit(words, v1, s)
+        if hit is not None:
+            return ExpansionReport(u=s, witness=frozenset(hit), v1_size=len(v1))
     raise AssertionError("size cap violated: some set of the cap size must fail")
 
 
@@ -124,32 +119,24 @@ class SampledCheck:
 # random draws are checked for non-expansion this many at a time, which
 # bounds the memory of one test whatever the number of samples
 _SAMPLE_CHUNK = 256
+# subsets scanned in order are checked this many at a time
+_SCAN_CHUNK = 1 << 14
 
 
-def _pool_words(H: Hypergraph, pool: list[int]) -> np.ndarray:
-    """Shadow neighborhoods of the pool as bit rows over pool positions:
-    bit j of row i is set iff pool[i] ~ pool[j]. Every neighbor of a pool
-    vertex lies in the pool (N(.) ⊆ V1), so no adjacency is lost. Rows are
-    (k+1) x (k // 64 + 1) uint64 words; row k is all zero and bit k exists,
-    so position k serves as padding in index matrices."""
-    k = len(pool)
-    pos = np.full(H.n, -1, dtype=np.int64)
-    pos[pool] = np.arange(k)
-    adj = H.shadow.adj
-    src = np.repeat(np.arange(k), [len(adj[v]) for v in pool])
-    dst = np.fromiter((w for v in pool for w in adj[v]), dtype=np.int64, count=src.size)
-    dst = pos[dst]
-    words = np.zeros((k + 1, (k >> 6) + 1), dtype=np.uint64)
-    bits = np.uint64(1) << (dst & 63).astype(np.uint64)
-    np.bitwise_or.at(words, (src, dst >> 6), bits)
-    return words
+def _shadow_words(H: Hypergraph) -> np.ndarray:
+    """The shadow's bitmasks as (n+1) x (n // 64 + 1) uint64 words: bit w of
+    row v is set iff v ~ w. Row n is all zero and bit n exists, so vertex n
+    serves as padding in index matrices."""
+    width = 8 * (H.n // 64 + 1)
+    buf = b"".join(m.to_bytes(width, "little") for m in H.shadow.adj_masks)
+    return np.frombuffer(buf + bytes(width), dtype="<u8").reshape(H.n + 1, -1)
 
 
 def _non_expanding(words: np.ndarray, idx: np.ndarray, sizes) -> np.ndarray:
-    """Whether each row A of idx (pool positions, padded with position k,
-    whose row is empty) is non-expanding: |N(A)| < 2|A|, where |N(A)| is
-    the popcount of the union of the members' rows less the members that
-    lie in that union."""
+    """Whether each row A of idx (vertex ids, padded with vertex n, whose
+    row is empty) is non-expanding: |N(A)| < 2|A|, where |N(A)| is the
+    popcount of the union of the members' rows less the members that lie in
+    that union."""
     nbr = np.bitwise_or.reduce(words[idx], axis=1)
     inside = np.take_along_axis(nbr, idx >> 6, axis=1) >> (idx & 63).astype(np.uint64)
     size = np.bitwise_count(nbr).sum(axis=1, dtype=np.int64)
@@ -157,30 +144,28 @@ def _non_expanding(words: np.ndarray, idx: np.ndarray, sizes) -> np.ndarray:
     return size < 2 * np.asarray(sizes)
 
 
-def _first_small_hit(words: np.ndarray, s: int) -> tuple[int, tuple[int, ...] | None]:
-    """Scan all s-subsets (s = 1 or 2) of pool positions in combinations
+def _first_hit(words: np.ndarray, pool, s: int) -> tuple[int, tuple[int, ...] | None]:
+    """Scan the s-subsets of `pool` (ascending vertex ids) in `combinations`
     order; return (subsets scanned, first non-expanding subset or None).
-    With shadow degrees, {u} is non-expanding iff deg u < 2 and {u, v} iff
-    deg u + deg v - |N(u) ∩ N(v)| - 2·[u~v] < 4. As N({u, v}) contains
-    N(u) - {v}, only pairs of vertices of degree <= 4 can fail, so only
-    those are checked; a hit's rank in the full order gives the subsets
-    scanned."""
-    k = words.shape[0] - 1
-    deg = np.bitwise_count(words[:k]).sum(axis=1, dtype=np.int64)
-    if s == 1:
-        hits = np.flatnonzero(deg < 2)
-        return (k, None) if hits.size == 0 else (int(hits[0]) + 1, (int(hits[0]),))
-    low = np.flatnonzero(deg <= 4)
-    a, b = np.triu_indices(low.size, 1)
-    iu, ju = low[a], low[b]
-    common = np.bitwise_count(words[iu] & words[ju]).sum(axis=1, dtype=np.int64)
-    adjacent = (words[iu, ju >> 6] >> (ju & 63).astype(np.uint64)) & np.uint64(1)
-    bad = deg[iu] + deg[ju] < 4 + common + 2 * adjacent.astype(np.int64)
-    hits = np.flatnonzero(bad)
-    if hits.size == 0:
-        return math.comb(k, 2), None
-    u, v = int(iu[hits[0]]), int(ju[hits[0]])
-    return u * (2 * k - u - 1) // 2 + v - u, (u, v)
+    N(A) holds N(u) less the other members for each u in A, so a member of
+    a non-expanding s-set has deg u - (s - 1) < 2s: only the subsets of the
+    pool vertices of shadow degree below 3s - 1 are checked, and a hit's
+    1-based rank in the full order, C(k, s) - sum_i C(k - 1 - c_i, s - i)
+    for pool positions c_0 < ... < c_{s-1}, gives the subsets scanned."""
+    pool = np.asarray(pool, dtype=np.int64)
+    k = pool.size
+    deg = np.bitwise_count(words[pool]).sum(axis=1)
+    combos = combinations(np.flatnonzero(deg < 3 * s - 1).tolist(), s)
+    while True:
+        flat = chain.from_iterable(islice(combos, _SCAN_CHUNK))
+        pos = np.fromiter(flat, dtype=np.int64).reshape(-1, s)
+        if pos.size == 0:
+            return math.comb(k, s), None
+        hits = np.flatnonzero(_non_expanding(words, pool[pos], s))
+        if hits.size:
+            c = pos[hits[0]].tolist()
+            after = sum(math.comb(k - 1 - ci, s - i) for i, ci in enumerate(c))
+            return math.comb(k, s) - after, tuple(pool[c].tolist())
 
 
 def u_sampled_check(
@@ -197,11 +182,11 @@ def u_sampled_check(
     Strategy, over the sorted pool:
 
     - Sizes 1 then 2 (when below u_target) are scanned exhaustively in
-      `itertools.combinations` order, stopping at the first non-expanding
-      set; a size is skipped when it has more than 50,000 subsets, so pairs
-      are skipped for pools of more than 316 vertices. With shadow degrees,
-      {u} is non-expanding iff deg u < 2, and {u, v} iff
-      deg u + deg v - |N(u) ∩ N(v)| - 2·[u~v] < 4.
+      `itertools.combinations` order by `_first_hit`, stopping at the first
+      non-expanding set; a size is skipped when it has more than 50,000
+      subsets, so pairs are skipped for pools of more than 316 vertices.
+      Only subsets of vertices of shadow degree below 3s - 1 can fail
+      (deg < 2 for singletons, deg <= 4 for pairs), so only those are checked.
     - Then `samples` random subsets: each draws its size uniformly from
       [1, min(u_target - 1, |pool|)] and its members without replacement.
     - A random hit is greedily shrunk to a (locally) minimal counterexample:
@@ -215,23 +200,21 @@ def u_sampled_check(
         raise InputError(f"u_target must be >= 0, got {u_target}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
-    pool = list(range(H.n)) if include_isolated else list(non_isolated_vertices(H))
-    if u_target <= 1 or not pool:
+    pool = np.array(range(H.n) if include_isolated else non_isolated_vertices(H), dtype=np.int64)
+    if u_target <= 1 or not pool.size:
         return SampledCheck(ok=True, counterexample=None, samples_used=0)
-    k = len(pool)
-    words = _pool_words(H, pool)
+    k = pool.size
+    words = _shadow_words(H)
 
     def found(A, used: int) -> SampledCheck:
-        return SampledCheck(
-            ok=False, counterexample=frozenset(pool[i] for i in A), samples_used=used
-        )
+        return SampledCheck(ok=False, counterexample=frozenset(A), samples_used=used)
 
     used = 0
     max_size = min(u_target - 1, k)
     for s in (1, 2):
         if s > max_size or math.comb(k, s) > 50_000:
             continue
-        scanned, hit = _first_small_hit(words, s)
+        scanned, hit = _first_hit(words, pool, s)
         used += scanned
         if hit is not None:
             return found(hit, used)
@@ -240,7 +223,7 @@ def u_sampled_check(
 
     def draw() -> np.ndarray:
         s = int(gen.integers(1, max_size + 1))
-        return gen.choice(k, size=s, replace=False)
+        return pool[gen.choice(k, size=s, replace=False)]
 
     def shrink(A: list[int]) -> list[int]:
         changed = True
@@ -258,7 +241,7 @@ def u_sampled_check(
         state = gen.bit_generator.state
         drawn = [draw() for _ in range(min(_SAMPLE_CHUNK, samples - start))]
         sizes = np.array([A.size for A in drawn])
-        idx = np.full((len(drawn), max_size), k, dtype=np.int64)
+        idx = np.full((len(drawn), max_size), H.n, dtype=np.int64)
         idx[np.arange(max_size) < sizes[:, None]] = np.concatenate(drawn)
         hits = np.flatnonzero(_non_expanding(words, idx, sizes))
         if hits.size:
@@ -307,12 +290,14 @@ class GreedyProbeResult:
 
 def _mixed_candidates(a: int, b: int, d: int) -> list[tuple[int, ...]]:
     """All d-sets inside A ∪ B = [0, a+b) that touch both blocks, in
-    lexicographic order. A = [0, a), B = [a, a+b)."""
-    out = []
-    for e in combinations(range(a + b), d):
-        if e[0] < a <= e[-1]:
-            out.append(e)
-    return out
+    lexicographic order. A = [0, a), B = [a, a+b): each is k vertices of A
+    followed by d - k of B, for 1 <= k < d."""
+    return sorted(
+        x + y
+        for k in range(1, d)
+        for x in combinations(range(a), k)
+        for y in combinations(range(a, a + b), d - k)
+    )
 
 
 def greedy_probe(

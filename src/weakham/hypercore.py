@@ -30,7 +30,7 @@ search) is one breadth-first search over masks, `_reach`.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
@@ -68,28 +68,37 @@ class Hypergraph:
       * d >= 2; n >= d whenever the edge set is non-empty
 
     `rows` holds the same edges, in the same order, as a read-only (m, d)
-    int64 array. A caller that already holds that array passes it as `rows`
-    (the samplers do, through `_from_rows`); it is trusted to match `edges`,
-    and otherwise it is built from `edges`.
+    int64 array, built from `edges`. `_from_rows` and `induced`, which
+    already hold that array, hand it over through `_with_rows` instead.
     """
 
     n: int
     d: int
     edges: tuple[tuple[int, ...], ...]
-    rows: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, rows):
+    def __post_init__(self):
         if self.d < 2:
             raise InputError(f"d must be >= 2, got {self.d}")
         if self.n < 0:
             raise InputError(f"n must be >= 0, got {self.n}")
         if self.edges and self.n < self.d:
             raise InputError(f"n={self.n} < d={self.d} with non-empty edge set")
+        rows = self.__dict__.get("rows")  # preset by _with_rows only
         if rows is None:
             rows = _edge_rows(self.n, self.d, self.edges)
         _check_rows(self.n, rows, self.edges)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+
+    @staticmethod
+    def _with_rows(n: int, d: int, edges, rows: np.ndarray) -> "Hypergraph":
+        """`Hypergraph(n, d, edges)`, validated as usual, keeping `rows` (a
+        private array trusted to hold the same edges in the same order) as
+        its `rows` instead of building them."""
+        H = object.__new__(Hypergraph)
+        H.__dict__["rows"] = rows
+        H.__init__(n, d, edges)
+        return H
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
@@ -108,7 +117,7 @@ class Hypergraph:
         order (a sampler's draw): rows are sorted lexicographically and then
         validated like any edge list."""
         rows = rows[np.lexsort(rows.T[::-1])]
-        return Hypergraph(n, d, tuple(map(tuple, rows.tolist())), rows)
+        return Hypergraph._with_rows(n, d, tuple(map(tuple, rows.tolist())), rows)
 
     @property
     def m(self) -> int:
@@ -301,7 +310,9 @@ def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
     inw = np.zeros(H.n, dtype=bool)
     inw[list(ws)] = True
     keep = inw[H.rows].all(axis=1)
-    return Hypergraph(H.n, H.d, tuple(compress(H.edges, keep.tolist())), H.rows[keep])
+    return Hypergraph._with_rows(
+        H.n, H.d, tuple(compress(H.edges, keep.tolist())), H.rows[keep]
+    )
 
 
 def _reach(masks: Sequence[int], seed: int) -> int:

@@ -33,7 +33,14 @@ from weakham import (
     u_exact,
     u_sampled_check,
 )
-from weakham.expansion import SampledCheck, _SAMPLE_CHUNK, _mixed_candidates
+from weakham.expansion import (
+    SampledCheck,
+    _SAMPLE_CHUNK,
+    _SCAN_CHUNK,
+    _first_hit,
+    _mixed_candidates,
+    _shadow_words,
+)
 
 from conftest import complete_hypergraph, hypergraphs
 
@@ -85,11 +92,32 @@ def test_is_non_expanding_matches_neighbor_count(Hs, data):
 # --------------------------------------------------------- smallest witness
 
 
+def _first_in_order(Hs, pool, s):
+    """Reference ordered scan: (subsets scanned, first non-expanding
+    s-subset of pool in `combinations` order, or None), by is_non_expanding."""
+    scanned = 0
+    for A in combinations(pool, s):
+        scanned += 1
+        if is_non_expanding(Hs, A):
+            return scanned, A
+    return scanned, None
+
+
+def _brute_force_u(Hs):
+    """Reference u and witness: the first non-expanding set of the smallest
+    size in `combinations` order over V1, or (|V1| + 1, None)."""
+    V1 = non_isolated_vertices(Hs)
+    for s in range(1, len(V1) + 1):
+        _, first = _first_in_order(Hs, V1, s)
+        if first is not None:
+            return s, frozenset(first)
+    return len(V1) + 1, None
+
+
 def test_u_exact_triangle():
     rep = u_exact(TRIANGLE)
     assert rep.u == 2
     assert rep.witness == frozenset({0, 1})
-    assert rep.exhaustive
     assert rep.v1_size == 3
 
 
@@ -114,24 +142,16 @@ def test_u_exact_capability_limit():
 
 
 def test_u_exact_matches_brute_force():
-    for s in range(15):
-        Hs = _gnp(8, 3, 0.08, seed=3000 + s)
+    # sparse draws (u = 2: at d = 3 no single vertex of V1 fails) and
+    # dense ones (u from 3 to 5)
+    draws = [_gnp(8, 3, 0.08, seed=3000 + s) for s in range(15)]
+    draws += [_gnp(12, 3, 0.05 + 0.02 * (s % 10), seed=5000 + s) for s in range(40)]
+    seen = set()
+    for Hs in draws:
         rep = u_exact(Hs)
-        V1 = non_isolated_vertices(Hs)
-        want = len(V1) + 1
-        for k in range(1, len(V1) + 1):
-            if any(
-                is_non_expanding(Hs, A) for A in combinations(V1, k)
-            ):
-                want = k
-                break
-        assert rep.u == want
-        if rep.witness is None:
-            assert rep.u == len(V1) + 1
-        else:
-            assert len(rep.witness) == rep.u
-            assert is_non_expanding(Hs, rep.witness)
-            assert set(rep.witness) <= set(V1)
+        assert (rep.u, rep.witness) == _brute_force_u(Hs)
+        seen.add(rep.u)
+    assert {2, 3, 4, 5} <= seen
 
 
 @given(hypergraphs(min_n=3, max_n=9, min_edges=1, max_edges=10))
@@ -140,6 +160,47 @@ def test_u_exact_within_cover_third_cap(Hs):
     # automatically non-expanding, so the minimum can never exceed the cap
     rep = u_exact(Hs)
     assert 1 <= rep.u <= rep.v1_size // 3 + 1
+
+
+@st.composite
+def _dense_or_sparse_gnp(draw, max_n=13):
+    # p runs up to 1, so dense draws with u up to 5 are common
+    d = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=d, max_value=max_n))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    return _gnp(n, d, p, seed=draw(st.integers(min_value=0, max_value=10**6)))
+
+
+@settings(max_examples=150)
+@given(_dense_or_sparse_gnp())
+def test_u_exact_witness_is_first_in_combinations_order(Hs):
+    rep = u_exact(Hs)
+    assert (rep.u, rep.witness) == _brute_force_u(Hs)
+
+
+@given(_dense_or_sparse_gnp(max_n=16), st.integers(min_value=1, max_value=4),
+       st.booleans())
+def test_first_hit_matches_plain_scan(Hs, s, include_isolated):
+    pool = range(Hs.n) if include_isolated else non_isolated_vertices(Hs)
+    assume(len(pool) >= 1)
+    scanned, hit = _first_hit(_shadow_words(Hs), list(pool), s)
+    assert (scanned, hit) == _first_in_order(Hs, pool, s)
+
+
+def test_first_hit_past_the_first_chunk():
+    # a circulant graph on 190 vertices (steps 1 and 3: shadow degree 4, no
+    # triangles) has no non-expanding pair; the lone edge (190, 191) is the
+    # last of C(192, 2) pairs, well past the first chunk
+    n = 192
+    edges = [(i, (i + j) % 190) for i in range(190) for j in (1, 3)] + [(190, 191)]
+    Hs = H(n, 2, edges)
+    words = _shadow_words(Hs)
+    assert math.comb(n, 2) > _SCAN_CHUNK
+    assert _first_hit(words, list(range(n)), 2) == (math.comb(n, 2), (190, 191))
+    assert _first_in_order(Hs, range(n), 2) == (math.comb(n, 2), (190, 191))
+    # one vertex fewer in the circulant part is still past the chunk
+    pool = [v for v in range(n) if v != 7]
+    assert _first_hit(words, pool, 2) == _first_in_order(Hs, pool, 2)
 
 
 # -------------------------------------------------------------- sampled check
@@ -310,6 +371,23 @@ def test_expansion_table_matches_gold_file():
         assert run_experiment(cfg).to_csv_text() == fh.read()
 
 
+EXPANSION_N20_GOLD = os.path.join(
+    os.path.dirname(__file__), "data", "expansion_n20_gold.csv"
+)
+
+
+def test_expansion_exact_branch_matches_gold_file():
+    # written by `weakham exp expansion --n 20 --d 3 --c-grid=-1,0,1,2
+    # --trials 50 --seed 0`; every trial has at most 22 non-isolated
+    # vertices, so each runs u_exact (u from 2 to 6) and the witness audit
+    cfg = make_config(
+        "expansion",
+        {"n": "20", "d": "3", "c_grid": "-1,0,1,2", "trials": "50", "seed": "0"},
+    )
+    with open(EXPANSION_N20_GOLD, encoding="utf-8") as fh:
+        assert run_experiment(cfg).to_csv_text() == fh.read()
+
+
 # ----------------------------------------------------- minimal connected sets
 
 
@@ -368,7 +446,7 @@ def _reference_walk(a, b, d, p, trials, rng):
     vertex runs out of candidates. Cover masks are Python ints, so any b
     fits. Presence is the same uniform stream greedy_probe draws in
     batches, one row of candidates per trial."""
-    cand = _mixed_candidates(a, b, d)
+    cand = [e for e in combinations(range(a + b), d) if e[0] < a <= e[-1]]
     cover = [sum(1 << (v - a) for v in e if v >= a) for e in cand]
     members = [[i for i, m in enumerate(cover) if m >> j & 1] for j in range(b)]
     need = -(-b // (d - 1))
@@ -412,6 +490,16 @@ def test_greedy_probe_matches_the_walk_across_batches():
     # 1408 candidates give batches of 2840 trials, so 3000 trials take two
     g = greedy_probe(8, 16, 3, 0.02, 3000, rng=SeededRng(4))
     assert g.successes == _reference_walk(8, 16, 3, 0.02, 3000, SeededRng(4))
+
+
+def test_mixed_candidates_are_the_filtered_d_sets():
+    for d in range(2, 6):
+        for a in range(1, 9):
+            for b in range(1, 9):
+                if a + b >= d:
+                    want = [e for e in combinations(range(a + b), d)
+                            if e[0] < a <= e[-1]]
+                    assert _mixed_candidates(a, b, d) == want
 
 
 def test_greedy_probe_certain_at_p_one():

@@ -453,6 +453,21 @@ def test_row_constructor_raises_like_public_constructor(n, rows):
     assert str(internal.value) == str(public.value)
 
 
+def test_public_constructor_takes_no_rows():
+    # a rows array that disagreed with the edges used to be trusted, so the
+    # shadow saw 2 ~ 3 where the only edge is (0, 1), and the caller's
+    # array was made read-only
+    arr = np.array([[2, 3]], dtype=np.int64)
+    with pytest.raises(TypeError):
+        Hypergraph(4, 2, ((0, 1),), arr)
+    with pytest.raises(TypeError):
+        Hypergraph(4, 2, ((0, 1),), rows=arr)
+    assert arr.flags.writeable
+    h = Hypergraph(4, 2, ((0, 1),))
+    assert h.rows.tolist() == [[0, 1]]
+    assert h.shadow.adj == ((1,), (0,), (), ())
+
+
 def test_constructor_reports_the_first_bad_edge_in_list_order():
     with pytest.raises(InputError, match=r"edge \(0, 1, 7\) has a vertex outside"):
         Hypergraph(5, 3, ((0, 1, 7), (0, 1)))
