@@ -32,12 +32,6 @@ from .harness import (
     parse_config_text,
     read_table,
     run_experiment,
-    run_expansion,
-    run_gnm_threshold,
-    run_isolated_distribution,
-    run_pab,
-    run_process,
-    run_threshold,
     wilson_interval,
 )
 from .hypercore import (
@@ -170,12 +164,6 @@ __all__ = [
     "parse_config_text",
     "make_config",
     "wilson_interval",
-    "run_threshold",
-    "run_gnm_threshold",
-    "run_isolated_distribution",
-    "run_process",
-    "run_expansion",
-    "run_pab",
     "run_experiment",
     "estimate_mindeg_probability",
     "read_table",

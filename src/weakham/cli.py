@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import CapabilityError, InputError
-from .harness import make_config, parse_config_text, run_experiment
+from .harness import EXPERIMENTS, ExperimentConfig, make_config, parse_config_text, run_experiment
 from .hypercore import _read_text, dump_hypergraph, load_hypergraph
 from .oracle import decide_weak_hamiltonian, exact_weak_hamiltonian
 from .plotting import emit_plot
@@ -54,24 +55,22 @@ def _build_parser() -> _Parser:
         help="heuristic rotation budget (0 = default)",
     )
 
+    # flags stay strings: make_config parses them like config-file values
     exp = sub.add_parser("exp", help="run an experiment to a CSV table")
-    exp.add_argument(
-        "kind",
-        choices=("threshold", "gnm", "poisson", "process", "expansion", "pab"),
-    )
+    exp.add_argument("kind", choices=EXPERIMENTS)
     exp.add_argument("--config", default=None, metavar="FILE", help="key = value file")
-    exp.add_argument("--n", type=int, default=None)
-    exp.add_argument("--d", type=int, default=None)
+    exp.add_argument("--n", default=None)
+    exp.add_argument("--d", default=None)
     exp.add_argument(
         "--c-grid", default=None,
         help="comma-separated c values; write --c-grid=-1,0,1 for negatives",
     )
-    exp.add_argument("--trials", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--workers", type=int, default=None)
-    exp.add_argument("--budget", type=int, default=None)
-    exp.add_argument("--oracle-cutoff", type=int, default=None)
-    exp.add_argument("--samples", type=int, default=None)
+    exp.add_argument("--trials", default=None)
+    exp.add_argument("--seed", default=None)
+    exp.add_argument("--workers", default=None)
+    exp.add_argument("--budget", default=None)
+    exp.add_argument("--oracle-cutoff", default=None)
+    exp.add_argument("--samples", default=None)
     exp.add_argument("--a-grid", default=None, help="comma-separated a values (pab)")
     exp.add_argument("--b-grid", default=None, help="comma-separated b values (pab)")
     exp.add_argument("--p-grid", default=None, help="comma-separated p values (pab)")
@@ -121,24 +120,14 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_EXP_FLAG_KEYS = (
-    "n", "d", "trials", "seed", "workers", "budget", "oracle_cutoff", "samples",
-)
-_EXP_LIST_KEYS = ("c_grid", "a_grid", "b_grid", "p_grid")
-
-
 def _cmd_exp(args) -> int:
     options: dict[str, str] = {}
     if args.config is not None:
         options.update(parse_config_text(_read_text(args.config)))
-    for key in _EXP_FLAG_KEYS:
-        value = getattr(args, key)
+    for field in fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            options[key] = str(value)
-    for key in _EXP_LIST_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            options[key] = value
+            options[field.name] = value
     out = options.pop("out", None)
     out = args.out or out or f"{args.kind}.csv"
     cfg = make_config(args.kind, options)

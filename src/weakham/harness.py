@@ -1,12 +1,14 @@
 """Reproducible Monte Carlo experiments over the random hypergraph models.
 
-Each experiment maps a fixed config to a CSV table: the threshold scans
-estimate P(weak Hamiltonian) and P(min degree >= 1) against the limit law
+run_experiment(cfg) is the one way to run an experiment: it maps a fixed
+config to a CSV table. The threshold scans (G(n,p) and G(n,m)) estimate
+P(weak Hamiltonian) and P(min degree >= 1) against the limit law
 exp(-exp(-c)), the isolated-count experiment compares against its Poisson
 limit, the edge-process experiment measures the gap between losing the last
 isolated vertex and becoming weakly Hamiltonian, the expansion experiment
 surveys non-expanding sets, and the pab experiment stress-tests the greedy
-covering bounds.
+covering bounds. Each table is one parallel map over its trials; every
+trial reads what it needs from the config it is handed.
 
 Determinism contract: every trial is keyed by (master seed, stream) and is
 computed independently, workers merge results by trial order, and floats are
@@ -70,12 +72,6 @@ __all__ = [
     "parse_config_text",
     "make_config",
     "wilson_interval",
-    "run_threshold",
-    "run_gnm_threshold",
-    "run_isolated_distribution",
-    "run_process",
-    "run_expansion",
-    "run_pab",
     "run_experiment",
     "estimate_mindeg_probability",
     "read_table",
@@ -367,28 +363,48 @@ def _map_tasks(fn: Callable, items: Sequence, workers: int) -> list:
         return pool.map(fn, items, chunksize=chunk)
 
 
+def _grid_map(
+    cfg: ExperimentConfig, trial: Callable, param: Callable = p_from_c
+) -> list[tuple[float, float | int, list]]:
+    """Every trial of a c-grid table in one map. The i-th c in ascending
+    order gets x = param(n, d, c), computed here once (so a clamp warns once
+    per c), and trials t = 0..trials-1 on streams i*trials + t; `trial`
+    receives (cfg, c, x, t, stream). Returns (c, x, results) per c."""
+    cells = [(c, param(cfg.n, cfg.d, c)) for c in sorted(cfg.c_grid)]
+    items = [
+        (cfg, c, x, t, i * cfg.trials + t)
+        for i, (c, x) in enumerate(cells)
+        for t in range(cfg.trials)
+    ]
+    results = _map_tasks(trial, items, cfg.workers)
+    return [
+        (c, x, results[i * cfg.trials:(i + 1) * cfg.trials])
+        for i, (c, x) in enumerate(cells)
+    ]
+
+
 # --- threshold experiments ------------------------------------------------------
 
 
 def _threshold_trial(args) -> TrialRecord:
-    (trial, n, d, c, model, p, m, master, stream, budget, cutoff) = args
+    cfg, c, x, trial, stream = args
     t0 = time.perf_counter()
-    rng = SeededRng(master, stream)
-    if model == "gnp":
-        H = sample_gnp(GnpParams(n, d, p), rng)
+    rng = SeededRng(cfg.seed, stream)
+    if cfg.experiment == "threshold":
+        H = sample_gnp(GnpParams(cfg.n, cfg.d, x), rng)
     else:
-        H = sample_gnm(GnmParams(n, d, m), rng)
+        H = sample_gnm(GnmParams(cfg.n, cfg.d, x), rng)
     iso = len(isolated_vertices(H))
     mindeg_ok = iso == 0
     verdict = decide_weak_hamiltonian(
-        H, budget=budget, rng=rng.shifted(_SEARCH_LANE), oracle_cutoff=cutoff
+        H, budget=cfg.budget, rng=rng.shifted(_SEARCH_LANE), oracle_cutoff=cfg.oracle_cutoff
     )
     ham = verdict.answer
     assert not (ham == "yes" and not mindeg_ok)
     return TrialRecord(
         trial=trial,
-        n=n,
-        d=d,
+        n=cfg.n,
+        d=cfg.d,
         c=c,
         isolated_count=iso,
         min_degree_ok=mindeg_ok,
@@ -409,24 +425,13 @@ _THRESHOLD_COLUMNS = (
 _GNM_COLUMNS = _THRESHOLD_COLUMNS[:3] + ("m",) + _THRESHOLD_COLUMNS[4:]
 
 
-def _threshold_like(cfg: ExperimentConfig, model: str) -> Table:
+def _threshold_table(cfg: ExperimentConfig) -> Table:
+    """Per c: estimate P(weak Hamiltonian) and P(min degree >= 1) against
+    exp(-exp(-c)), under G(n,p) at p = (d-1)!(ln n + c)/n^(d-1) for
+    "threshold", or under G(n,m) at m = m_from_c for "gnm"."""
+    gnp = cfg.experiment == "threshold"
     rows = []
-    for i, c in enumerate(sorted(cfg.c_grid)):
-        if model == "gnp":
-            p = p_from_c(cfg.n, cfg.d, c)
-            m = 0
-            param_cell: float | int = p
-        else:
-            p = 0.0
-            m = m_from_c(cfg.n, cfg.d, c)
-            param_cell = m
-        base = i * cfg.trials
-        items = [
-            (t, cfg.n, cfg.d, c, model, p, m, cfg.seed, base + t,
-             cfg.budget, cfg.oracle_cutoff)
-            for t in range(cfg.trials)
-        ]
-        recs: list[TrialRecord] = _map_tasks(_threshold_trial, items, cfg.workers)
+    for c, x, recs in _grid_map(cfg, _threshold_trial, p_from_c if gnp else m_from_c):
         mindeg_yes = sum(1 for r in recs if r.min_degree_ok)
         yes = sum(1 for r in recs if r.weak_ham == "yes")
         no = sum(1 for r in recs if r.weak_ham == "no")
@@ -441,48 +446,26 @@ def _threshold_like(cfg: ExperimentConfig, model: str) -> Table:
             phat_ham, lo_h, hi_h = None, None, None
         rows.append(
             (
-                c, cfg.n, cfg.d, param_cell, cfg.trials,
+                c, cfg.n, cfg.d, x, cfg.trials,
                 mindeg_yes, mindeg_yes / cfg.trials, lo_m, hi_m,
                 yes, no, unknown,
                 phat_ham, lo_h, hi_h,
                 limiting_probability(c), unknown / cfg.trials,
             )
         )
-    if model == "gnp":
-        return Table("threshold", _THRESHOLD_COLUMNS, tuple(rows))
-    return Table("gnm", _GNM_COLUMNS, tuple(rows))
-
-
-def run_threshold(cfg: ExperimentConfig) -> Table:
-    """Per c: estimate P(weak Hamiltonian) and P(min degree >= 1) under
-    G(n,p) at p = (d-1)!(ln n + c)/n^(d-1), against exp(-exp(-c))."""
-    _require(cfg, "threshold")
-    return _threshold_like(cfg, "gnp")
-
-
-def run_gnm_threshold(cfg: ExperimentConfig) -> Table:
-    """run_threshold under the fixed-edge-count model at m = m_from_c."""
-    _require(cfg, "gnm")
-    return _threshold_like(cfg, "gnm")
-
-
-def _require(cfg: ExperimentConfig, experiment: str) -> None:
-    if cfg.experiment != experiment:
-        raise InputError(
-            f"config is for {cfg.experiment!r}, runner expects {experiment!r}"
-        )
+    return Table(cfg.experiment, _THRESHOLD_COLUMNS if gnp else _GNM_COLUMNS, tuple(rows))
 
 
 def estimate_mindeg_probability(
     n: int, d: int, c: float, trials: int, seed: int, workers: int = 1
 ) -> float:
-    """Fast Monte Carlo of P(min degree >= 1) only — no search, no oracle.
-    Worker-count independent: every trial has its own stream."""
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    p = p_from_c(n, d, c)
-    items = [(n, d, p, seed, t) for t in range(trials)]
-    isolated = _map_tasks(_poisson_trial, items, workers)
+    """Fast Monte Carlo of P(min degree >= 1) only — no search, no oracle:
+    the share of zero isolated-vertex counts in the poisson table's trials
+    for the same n, d, c, trials and seed. Worker-count independent."""
+    cfg = ExperimentConfig(
+        "poisson", n=n, d=d, c_grid=(c,), trials=trials, seed=seed, workers=workers
+    )
+    ((_, _, isolated),) = _grid_map(cfg, _poisson_trial)
     return isolated.count(0) / trials
 
 
@@ -490,8 +473,8 @@ def estimate_mindeg_probability(
 
 
 def _poisson_trial(args) -> int:
-    n, d, p, master, stream = args
-    covered = sampled_covered_vertices(GnpParams(n, d, p), SeededRng(master, stream))
+    cfg, _, p, _, stream = args
+    covered = sampled_covered_vertices(GnpParams(cfg.n, cfg.d, p), SeededRng(cfg.seed, stream))
     return int(covered.size) - int(covered.sum())
 
 
@@ -508,18 +491,13 @@ def _poisson_pmf(lam: float, k: int) -> float:
     )
 
 
-def run_isolated_distribution(cfg: ExperimentConfig) -> Table:
+def _poisson_table(cfg: ExperimentConfig) -> Table:
     """Histogram of the isolated-vertex count per c, with total-variation
     distance and a tail-pooled chi-square against Poisson(exp(-c))."""
-    _require(cfg, "poisson")
     from scipy.special import chdtrc  # the chi-square survival function
 
     rows = []
-    for i, c in enumerate(sorted(cfg.c_grid)):
-        p = p_from_c(cfg.n, cfg.d, c)
-        base = i * cfg.trials
-        items = [(cfg.n, cfg.d, p, cfg.seed, base + t) for t in range(cfg.trials)]
-        counts = _map_tasks(_poisson_trial, items, cfg.workers)
+    for c, p, counts in _grid_map(cfg, _poisson_trial):
         kmax = max(counts)
         hist = [0] * (kmax + 1)
         for k in counts:
@@ -571,8 +549,9 @@ def run_isolated_distribution(cfg: ExperimentConfig) -> Table:
 
 
 def _process_trial(args) -> ProcessRecord:
-    trial, n, d, master, stream, cutoff, budget = args
-    rng = SeededRng(master, stream)
+    cfg, trial = args
+    n, d = cfg.n, cfg.d
+    rng = SeededRng(cfg.seed, trial)
     rows = _process_rows(n, d, rng)
     # tau is the step of the edge holding the last first appearance of a vertex
     _, first = np.unique(rows.ravel(), return_index=True)
@@ -582,7 +561,8 @@ def _process_trial(args) -> ProcessRecord:
     for idx in range(tau, len(rows) + 1):
         H = Hypergraph._from_rows(n, d, rows[:idx])
         verdict = decide_weak_hamiltonian(
-            H, budget=budget, rng=rng.shifted(_SEARCH_LANE + idx), oracle_cutoff=cutoff
+            H, budget=cfg.budget, rng=rng.shifted(_SEARCH_LANE + idx),
+            oracle_cutoff=cfg.oracle_cutoff,
         )
         if verdict.yes:
             t_ham = idx
@@ -594,22 +574,17 @@ def _process_trial(args) -> ProcessRecord:
 _PROCESS_COLUMNS = ("trial", "n", "d", "tau", "t_ham", "gap", "equal")
 
 
-def run_process(cfg: ExperimentConfig) -> Table:
+def _process_table(cfg: ExperimentConfig) -> Table:
     """Random edge process: per trial, the first edge count tau with no
     isolated vertex and the first count t_ham with a weak Hamilton cycle.
     tau <= t_ham is asserted per row; the gap distribution is exploratory.
     Prefixes are decided by decide_weak_hamiltonian: exactly up to the
     oracle cutoff, above it by search witnesses only (t_ham an upper bound)."""
-    _require(cfg, "process")
     if cfg.n < 3:
         raise InputError(f"process needs n >= 3 for cycles, got {cfg.n}")
-    items = [
-        (t, cfg.n, cfg.d, cfg.seed, t, cfg.oracle_cutoff, cfg.budget)
-        for t in range(cfg.trials)
-    ]
-    recs: list[ProcessRecord] = _map_tasks(_process_trial, items, cfg.workers)
+    items = [(cfg, t) for t in range(cfg.trials)]
     rows = []
-    for r in recs:
+    for r in _map_tasks(_process_trial, items, cfg.workers):
         assert r.tau <= r.t_ham, f"trial {r.trial}: tau {r.tau} > t_ham {r.t_ham}"
         rows.append((r.trial, r.n, r.d, r.tau, r.t_ham, r.t_ham - r.tau, r.equal))
     return Table("process", _PROCESS_COLUMNS, tuple(rows))
@@ -619,8 +594,9 @@ def run_process(cfg: ExperimentConfig) -> Table:
 
 
 def _expansion_trial(args):
-    (trial, n, d, c, p, master, stream, samples) = args
-    rng = SeededRng(master, stream)
+    cfg, c, p, trial, stream = args
+    n, d = cfg.n, cfg.d
+    rng = SeededRng(cfg.seed, stream)
     H = sample_gnp(GnpParams(n, d, p), rng)
     v1 = non_isolated_vertices(H)
     has_iso = len(v1) < n
@@ -643,10 +619,10 @@ def _expansion_trial(args):
         u = None
         exhaustive = False
         chk_small = u_sampled_check(
-            H, small_target + 1, samples, rng=rng.shifted(_SEARCH_LANE)
+            H, small_target + 1, cfg.samples, rng=rng.shifted(_SEARCH_LANE)
         )
         chk_floor = u_sampled_check(
-            H, math.ceil(floor_target), samples, rng=rng.shifted(2 * _SEARCH_LANE)
+            H, math.ceil(floor_target), cfg.samples, rng=rng.shifted(2 * _SEARCH_LANE)
         )
         below_small = not chk_small.ok
         below_floor = not chk_floor.ok
@@ -668,32 +644,22 @@ _EXPANSION_COLUMNS = (
 )
 
 
-def run_expansion(cfg: ExperimentConfig) -> Table:
+def _expansion_table(cfg: ExperimentConfig) -> Table:
     """Per trial: u(H) exactly when |V1| <= 22 (with a connectivity audit of
     the minimal witness), otherwise one-sided sampled checks against the
     size-n^(1/4) and n/3^d targets; plus the count of non-trivial shadow
     components. u_relaxed additionally admits isolated vertices, where a
     singleton is trivially non-expanding — reported, not interpreted."""
-    _require(cfg, "expansion")
-    rows = []
-    for i, c in enumerate(sorted(cfg.c_grid)):
-        p = p_from_c(cfg.n, cfg.d, c)
-        base = i * cfg.trials
-        items = [
-            (t, cfg.n, cfg.d, c, p, cfg.seed, base + t, cfg.samples)
-            for t in range(cfg.trials)
-        ]
-        rows.extend(_map_tasks(_expansion_trial, items, cfg.workers))
+    rows = [row for _, _, results in _grid_map(cfg, _expansion_trial) for row in results]
     return Table("expansion", _EXPANSION_COLUMNS, tuple(rows))
 
 
 # --- greedy covering bounds ---------------------------------------------------------
 
 
-def _pab_cell(args):
-    a, b, d, p, trials, master, stream = args
-    res = greedy_probe(a, b, d, p, trials, rng=SeededRng(master, stream))
-    return (a, b, d, p, trials, res.successes)
+def _pab_cell(args) -> int:
+    cfg, a, b, p, idx = args
+    return greedy_probe(a, b, cfg.d, p, cfg.trials, rng=SeededRng(cfg.seed, idx)).successes
 
 
 _PAB_COLUMNS = (
@@ -703,25 +669,21 @@ _PAB_COLUMNS = (
 )
 
 
-def run_pab(cfg: ExperimentConfig) -> Table:
+def _pab_table(cfg: ExperimentConfig) -> Table:
     """Greedy-probe P̂(a,b) against the closed-form exact bound and, where
     its hypothesis (a >= d, b <= 2a, 2a p^(1/(d-1)) <= 1) holds, the simple
     product-form bound. A violation means P̂ - 3*stderr still exceeds the bound;
     hypothesis-violating cells keep bound_simple empty and are flagged."""
-    _require(cfg, "pab")
-    cells = []
-    for a in cfg.a_grid:
-        b_values = cfg.b_grid if cfg.b_grid else tuple(range(1, 2 * a + 1))
-        for b in b_values:
-            for p in cfg.p_grid:
-                cells.append((a, b, p))
-    items = [
-        (a, b, cfg.d, p, cfg.trials, cfg.seed, idx)
-        for idx, (a, b, p) in enumerate(cells)
+    d, trials = cfg.d, cfg.trials
+    cells = [
+        (a, b, p)
+        for a in cfg.a_grid
+        for b in (cfg.b_grid or range(1, 2 * a + 1))
+        for p in cfg.p_grid
     ]
-    results = _map_tasks(_pab_cell, items, cfg.workers)
+    items = [(cfg, a, b, p, idx) for idx, (a, b, p) in enumerate(cells)]
     rows = []
-    for a, b, d, p, trials, successes in results:
+    for (a, b, p), successes in zip(cells, _map_tasks(_pab_cell, items, cfg.workers)):
         phat = successes / trials
         stderr = math.sqrt(phat * (1.0 - phat) / trials)
         exact = pab_bound_exact(a, b, d, 1.0 - p)
@@ -746,15 +708,16 @@ def run_pab(cfg: ExperimentConfig) -> Table:
 
 
 _RUNNERS = {
-    "threshold": run_threshold,
-    "gnm": run_gnm_threshold,
-    "poisson": run_isolated_distribution,
-    "process": run_process,
-    "expansion": run_expansion,
-    "pab": run_pab,
+    "threshold": _threshold_table,
+    "gnm": _threshold_table,
+    "poisson": _poisson_table,
+    "process": _process_table,
+    "expansion": _expansion_table,
+    "pab": _pab_table,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> Table:
-    """Dispatch a config to its runner."""
+    """Run the experiment cfg names and return its table; the one entry
+    point for every experiment kind."""
     return _RUNNERS[cfg.experiment](cfg)

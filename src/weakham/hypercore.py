@@ -271,12 +271,7 @@ def shadow_graph(H: Hypergraph) -> ShadowGraph:
     Raises CapabilityError, before allocating, when the packed bitmasks
     would take more than _SHADOW_WORD_LIMIT."""
     n = H.n
-    need = 8 * n * (n // 64 + 1)
-    if need > _SHADOW_WORD_LIMIT:
-        raise CapabilityError(
-            f"n={n}: the shadow bitmasks need {need} bytes, above the bound "
-            f"of {_SHADOW_WORD_LIMIT}"
-        )
+    _check_mask_words(n)
     codes, _ = H._pairs
     u, v = np.divmod(codes, n)
     src, dst = np.divmod(np.sort(np.concatenate((codes, v * n + u))), n)
@@ -284,6 +279,15 @@ def shadow_graph(H: Hypergraph) -> ShadowGraph:
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     adj = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
     return ShadowGraph(n=n, adj=adj, adj_masks=_bit_rows(n, src, dst))
+
+
+def _check_mask_words(n: int) -> None:
+    need = 8 * n * (n // 64 + 1)
+    if need > _SHADOW_WORD_LIMIT:
+        raise CapabilityError(
+            f"n={n}: the shadow bitmasks need {need} bytes, above the bound "
+            f"of {_SHADOW_WORD_LIMIT}"
+        )
 
 
 def _bit_rows(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...]:
@@ -359,15 +363,25 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
     """True iff the edges of H lying inside W connect all of W.
 
     |W| <= 1 counts as connected. This is connectivity of induced(H, W)
-    restricted to W, not connectivity of W inside the full shadow.
+    restricted to W, not connectivity of W inside the full shadow. W is
+    relabelled to 0..|W|-1, so the bitmasks searched are |W| x |W|, and the
+    _SHADOW_WORD_LIMIT bound applies to |W|, not to n.
     """
     ws = sorted(set(W))
     for v in ws:
         _check_vertex(H, v)
-    if len(ws) <= 1:
+    k = len(ws)
+    if k <= 1:
         return True
-    reached = _reach(induced(H, ws).shadow.adj_masks, 1 << ws[0])
-    return reached.bit_count() == len(ws)
+    _check_mask_words(k)
+    label = np.full(H.n, -1, dtype=np.int64)
+    label[ws] = np.arange(k)
+    rows = label[H.rows]
+    rows = rows[(rows >= 0).all(axis=1)]
+    a, b = np.triu_indices(H.d, 1)
+    u, v = rows[:, a].ravel(), rows[:, b].ravel()
+    masks = _bit_rows(k, np.concatenate((u, v)), np.concatenate((v, u)))
+    return _reach(masks, 1).bit_count() == k
 
 
 # --- text format ------------------------------------------------------------

@@ -185,9 +185,10 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
     (exactly sequential without-replacement sampling), found without a stable
     sort: a plain sort of the codes reveals the repeated ones, and only their
     positions are resolved. Further batches are drawn until k codes are
-    distinct; the first k are decoded back to rows. Raises CapabilityError
-    when the dense regime would enumerate more than _ENUM_LIMIT d-sets, or
-    the sparse regime's int64 row codes would overflow."""
+    distinct; the first k are decoded back to rows. Raises CapabilityError,
+    before any draw, when the dense regime would enumerate more than
+    _ENUM_LIMIT d-sets, or when the sparse regime's int64 row codes would
+    overflow or it would draw more than _ENUM_LIMIT rows."""
     total = math.comb(n, d)
     if k < 0 or k > total:
         raise InputError(f"cannot draw {k} distinct d-sets from {total}")
@@ -199,6 +200,10 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
         return allsets[idx]
     if n**d >= 2**62:
         raise CapabilityError(f"n={n}, d={d} too large for packed sampling")
+    if k > _ENUM_LIMIT:
+        raise CapabilityError(
+            f"{k} edges exceed the in-memory sampling limit {_ENUM_LIMIT}"
+        )
     parts: list[np.ndarray] = []
     batch = int(1.25 * k) + 32
     while True:

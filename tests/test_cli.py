@@ -345,6 +345,14 @@ def test_exp_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exp_flags_are_parsed_by_make_config(tmp_path, capsys):
+    out = os.fspath(tmp_path / "x.csv")
+    rc = run_cli("exp", "threshold", "--n", "x", "--c-grid=0", "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config key n: expected integer, got 'x'\n"
+    assert not os.path.exists(out)
+
+
 def test_exp_non_utf8_config_is_input_error(tmp_path, not_utf8, capsys):
     rc = run_cli("exp", "threshold", "--config", not_utf8,
                  "--out", os.fspath(tmp_path / "x.csv"))

@@ -1,6 +1,6 @@
 """Experiment harness: Wilson intervals, config parsing and validation, the
 canonical CSV table form, deterministic parallel execution, and the six
-experiment runners on small inputs."""
+experiment kinds run through run_experiment on small inputs."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from weakham import harness
 from weakham import (
     ExperimentConfig,
     Hypergraph,
@@ -202,6 +203,47 @@ def test_estimate_mindeg_probability_deterministic_across_workers():
     b = estimate_mindeg_probability(60, 3, 0.0, trials=200, seed=11, workers=2)
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+def test_estimate_mindeg_probability_is_the_poisson_zero_share():
+    phat = estimate_mindeg_probability(80, 3, 0.5, trials=150, seed=4)
+    tab = run_experiment(make_config(
+        "poisson", {"n": "80", "d": "3", "c_grid": "0.5", "trials": "150", "seed": "4"}
+    ))
+    assert tab.column("k")[0] == "0"
+    assert phat == float(tab.column("phat")[0])
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_estimate_mindeg_probability_rejects_bad_workers(workers):
+    with pytest.raises(InputError, match=f"workers must be >= 1, got {workers}"):
+        estimate_mindeg_probability(60, 3, 0.0, trials=10, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "kind, opts, items",
+    [
+        ("threshold", {"n": "12", "c_grid": "-1,0,1"}, 12),
+        ("gnm", {"n": "12", "c_grid": "-1,0,1"}, 12),
+        ("poisson", {"n": "30", "c_grid": "-1,0,1"}, 12),
+        ("expansion", {"n": "14", "c_grid": "-1,0,1", "samples": "20"}, 12),
+        ("process", {"n": "6"}, 4),
+        ("pab", {"a_grid": "3", "p_grid": "0.1"}, 6),  # b = 1..6, one cell each
+    ],
+)
+def test_each_table_is_one_map(kind, opts, items, monkeypatch):
+    calls = []
+    real = harness._map_tasks
+
+    def counting(fn, tasks, workers):
+        tasks = list(tasks)
+        calls.append(len(tasks))
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(harness, "_map_tasks", counting)
+    tab = run_experiment(make_config(kind, dict(opts, trials="4", seed="2")))
+    assert tab.kind == kind
+    assert calls == [items]
 
 
 # ------------------------------------------------------------- experiment runs

@@ -305,6 +305,21 @@ def test_is_connected_on():
     assert is_connected_on(h, frozenset())
 
 
+def test_is_connected_on_grows_with_w_not_n():
+    # the n = 10**5 shadow would need 1.25 GB of mask words; a query on a
+    # 5-vertex W searches 5 x 5 bitmasks
+    h = Hypergraph(10**5, 3, ((0, 1, 2), (2, 3, 4), (7, 8, 9)))
+    tracemalloc.start()
+    try:
+        assert is_connected_on(h, {0, 1, 2, 3, 4})
+        assert not is_connected_on(h, {0, 1, 3})
+        assert not is_connected_on(h, {0, 1, 2, 7, 8, 9})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # ------------------------------------- array-built structures vs scalar loops
 #
 # The degrees, shadow, masks and cover edges are built from the (m, d) row

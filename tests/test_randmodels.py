@@ -247,6 +247,17 @@ def test_dense_branch_limit_boundary(monkeypatch):
         edge_process(6, 3, SeededRng(1, 0))
 
 
+def test_sparse_branch_edge_count_bound(monkeypatch):
+    # C(200,3) = 1,313,400 takes the sparse branch for any k below half of
+    # it; the bound fires before the first batch is drawn
+    monkeypatch.setattr(randmodels, "_ENUM_LIMIT", 1000)
+    assert sample_gnm(GnmParams(200, 3, 1000), SeededRng(1, 0)).m == 1000
+    with pytest.raises(CapabilityError, match="1001 edges exceed the in-memory sampling limit"):
+        sample_gnm(GnmParams(200, 3, 1001), SeededRng(1, 0))
+    with pytest.raises(CapabilityError, match="sampling limit 1000"):
+        sampled_covered_vertices(GnpParams(200, 3, 0.01), SeededRng(1, 0))
+
+
 def test_packing_bound_is_capability_error():
     # n**d = 2**63: sparse rejection sampling cannot pack rows into int64
     with pytest.raises(CapabilityError, match="packed sampling"):
