@@ -18,12 +18,15 @@ never in tables.
 
 Verdict policy: threshold and process trials are decided by
 oracle.decide_weak_hamiltonian at the config's oracle_cutoff. A "no" is
-certified (n < 3, an isolated vertex, disconnected V1, or forced shadow
-edges ruling out a spanning cycle) or decided by the exact oracle at or
-below its cutoff. Search failures above the cutoff are "unknown", a
-separate column never folded into the "no" count: the search ran out of
-rotation budget or restarts on a graph with no such certificate. Point
-estimates use decided trials only; unknown-rates are reported alongside.
+certified or decided by the exact oracle at or below its cutoff. The
+certificates are: n < 3, an isolated vertex, disconnected V1, forced shadow
+edges ruling out a spanning cycle (read off the shadow degrees, or once the
+edges they exclude are pruned to a fixpoint), and, after a failed search, a
+pruned shadow graph that is disconnected on V1 or has a cut vertex. Search
+failures above the cutoff are "unknown", a separate column never folded
+into the "no" count: the search ran out of rotation budget or restarts on
+a graph with no such certificate. Point estimates use decided trials only;
+unknown-rates are reported alongside.
 """
 
 from __future__ import annotations
@@ -354,8 +357,11 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 
 
 def _map_tasks(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(it) for it in items], in order, on a fork pool of at most one
+    process per item."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
     ctx = get_context("fork")
     chunk = max(1, len(items) // (workers * 8))

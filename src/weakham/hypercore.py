@@ -24,8 +24,9 @@ packed from them as uint64 words.
 
 Neighborhoods and connectivity are read off those bitmasks: N(V) is the OR
 of the masks of V less V, and every connectivity question in the package
-(components, is_connected_on, the certificates of the oracle and of the
-search) is one breadth-first search over masks, `_reach`.
+(components, is_connected_on, the connectivity certificates of the oracle
+and of the search) is one breadth-first search over masks, `_reach`. Only
+the search's cut-vertex test walks the masks depth-first, in weakpaths.
 """
 
 from __future__ import annotations

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import _engine
 from .errors import CapabilityError, InputError
-from .hypercore import Hypergraph, _reach, neighbors, non_isolated_vertices
+from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, neighbors,
+                        non_isolated_vertices)
 from .randmodels import SeededRng
 
 __all__ = [
@@ -334,12 +335,15 @@ class SearchOutcome:
     """Result of rotation_extension_search: a validated spanning weak cycle,
     or, after a failed search, `path`: the longest stalled orientation, or
     the last grown path when the budget ran out before any stall.
-    `impossible` carries a certified reason when no spanning cycle can exist
-    (fewer than 3 non-isolated vertices, V1 disconnected, or the shadow edges
-    forced at vertices of shadow degree 2 rule one out); `exhausted` flags
-    rotation-budget exhaustion. `restarts` counts the random starts after
-    the first, so a search that gave up without `exhausted` ran out of
-    restarts instead."""
+    `impossible` carries a certified reason when no spanning cycle can exist:
+    fewer than 3 non-isolated vertices, V1 disconnected, the shadow edges
+    forced at vertices with two usable edges rule one out (read off the
+    degrees, or once the edges they exclude are pruned to a fixpoint), or,
+    after a failed search, the pruned shadow graph is disconnected on V1 or
+    has a cut vertex. `exhausted` flags rotation-budget exhaustion.
+    `restarts` counts the random starts after the first, so a search that
+    gave up without `exhausted` ran out of restarts instead; a "no" found
+    after the search keeps the rotations and restarts it spent."""
 
     cycle: WeakCycle | None
     path: WeakPath | None
@@ -391,43 +395,142 @@ def lift_cycle(H: Hypergraph, vseq) -> WeakCycle:
     return WeakCycle(tuple(vseq), tuple(edges[1:] + edges[:1]))
 
 
-def _forced_edge_obstruction(H: Hypergraph, v1) -> str | None:
-    """A reason no cycle spans V1, read off the shadow degrees, or None.
+def _forced_edge_pruning(shadow: ShadowGraph, v1) -> tuple[str | None, list[int]]:
+    """Stage one of the "no" certificate: a reason no cycle spans V1, or
+    None, and the shadow masks less the edges that no such cycle can use.
 
     A spanning cycle uses exactly two shadow edges at each vertex of V1, so a
-    vertex with exactly two shadow neighbors forces both edges into it. No
-    spanning cycle exists if some vertex has fewer than two neighbors, lies
-    on more than two forced edges, or if the forced edges close a cycle that
-    misses part of V1; of several such cycles, the note names the one
-    through the smallest vertex.
+    vertex with exactly two usable edges forces both, and a vertex on two
+    forced edges cannot use its other edges: they are dropped at both ends,
+    which can leave a neighbor with two usable edges in turn. The first round
+    reads the shadow degrees alone: it fails if some vertex has fewer than
+    two neighbors, lies on more than two forced edges, or if the forced edges
+    close a cycle that misses part of V1 (of several such cycles, the note
+    names the one through the smallest vertex). Propagation then runs to a
+    fixpoint and fails on the same three events, noted as found once forced
+    edges are pruned.
     """
-    shadow = H.shadow
-    forced = [0] * H.n  # forced[v]: bitmask of v's forced shadow neighbors
+    usable = list(shadow.adj_masks)
+    forced = [0] * shadow.n  # forced[v]: bitmask of v's forced shadow neighbors
     for v in v1:
         k = len(shadow.adj[v])
         if k < 2:
-            return f"vertex {v} has only {k} shadow neighbor (a spanning cycle needs 2)"
+            return f"vertex {v} has only {k} shadow neighbor (a spanning cycle needs 2)", usable
         if k == 2:
-            forced[v] = shadow.adj_masks[v]
+            forced[v] = usable[v]
             for w in shadow.adj[v]:
                 forced[w] |= 1 << v
-    ends = left = 0
+    stack = []  # vertices whose usable edges may still change
     for v in v1:
         k = forced[v].bit_count()
         if k > 2:
-            return f"vertex {v} lies on {k} forced shadow edges (a spanning cycle uses 2)"
+            return f"vertex {v} lies on {k} forced shadow edges (a spanning cycle uses 2)", usable
+        if k == 2:
+            stack.append(v)
+    note = _forced_cycle(forced, v1)
+    if note is not None:
+        return note, usable
+    # every change below removes or forces an edge, so the stack runs dry
+    while stack:
+        v = stack.pop()
+        if usable[v] == forced[v]:
+            continue
+        if forced[v].bit_count() == 2:
+            drop = usable[v] & ~forced[v]
+            usable[v] = forced[v]
+            for w in _members(drop):
+                usable[w] &= ~(1 << v)
+                stack.append(w)
+            continue
+        k = usable[v].bit_count()
+        if k < 2:
+            return (f"vertex {v} keeps only {k} shadow edge once forced edges are pruned "
+                    "(a spanning cycle needs 2)"), usable
+        if k == 2:
+            for w in _members(usable[v] & ~forced[v]):
+                forced[w] |= 1 << v
+                if forced[w].bit_count() > 2:
+                    return (f"vertex {w} lies on 3 forced shadow edges once forced edges "
+                            "are pruned (a spanning cycle uses 2)"), usable
+                stack.append(w)
+            forced[v] = usable[v]
+    return _forced_cycle(forced, v1, " once forced edges are pruned"), usable
+
+
+def _forced_cycle(forced: list[int], v1, suffix: str = "") -> str | None:
+    """A note naming a cycle of forced edges that misses part of V1, through
+    the smallest vertex of any such cycle, or None. Every vertex lies on at
+    most two forced edges, so the forced edges form paths and cycles; a part
+    with no vertex on only one forced edge is a cycle."""
+    ends = left = 0
+    for v in v1:
+        k = forced[v].bit_count()
         if k:
             left |= 1 << v
         if k == 1:
             ends |= 1 << v
-    # forced edges now form paths and cycles; a part with no vertex on only
-    # one forced edge is a cycle
     while left:
         part = _reach(forced, left & -left)
         k = part.bit_count()
         if not part & ends and k < len(v1):
-            return f"forced shadow edges close a cycle through {k} of {len(v1)} non-isolated vertices"
+            return (f"forced shadow edges close a cycle through {k} of {len(v1)} "
+                    f"non-isolated vertices{suffix}")
         left &= ~part
+    return None
+
+
+def _cut_vertex(adj, masks: list[int], v1) -> str | None:
+    """Stage two of the "no" certificate: a reason the graph of the pruned
+    shadow masks on V1 is not 2-connected, or None. A spanning cycle of V1 is
+    2-connected, so V1 disconnected or a cut vertex rules one out. `adj`
+    holds the unpruned shadow lists, read wherever pruning left a vertex's
+    mask whole.
+
+    One iterative depth-first search from the smallest vertex keeps each
+    vertex's discovery order and lowpoint (the earliest order reachable by
+    tree edges then one more edge): a non-root vertex u is a cut vertex iff
+    some tree child v has low[v] >= order[u], and the root iff it has two
+    tree children. The note names the first cut vertex the search finishes.
+    Linear in the size of the pruned graph. The parent edge counts towards
+    the lowpoint here, which moves low[v] to order[u] at most and so leaves
+    every test as it is.
+    """
+
+    def nbrs(v):
+        return adj[v] if len(adj[v]) == masks[v].bit_count() else _members(masks[v])
+
+    root = v1[0]
+    order = [-1] * len(masks)
+    low = [0] * len(masks)
+    order[root] = 0
+    seen = 1
+    stack = [(root, iter(nbrs(root)))]
+    children = 0
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if order[w] < 0:
+                order[w] = low[w] = seen
+                seen += 1
+                stack.append((w, iter(nbrs(w))))
+                break
+            if order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if u == root:
+                children += 1
+                if children == 2:
+                    return f"vertex {root} is a cut vertex of the pruned shadow graph"
+            elif low[v] >= order[u]:
+                return f"vertex {u} is a cut vertex of the pruned shadow graph"
+    if seen < len(v1):
+        return "the pruned shadow graph on the non-isolated vertices is disconnected"
     return None
 
 
@@ -441,11 +544,16 @@ def rotation_extension_search(
     Grows a path greedily on the shadow, closes rotation closures at stalls,
     splices non-spanning cycles open through the connectivity of V1, sweeps
     the far-side closures at a stall, and restarts within a global rotation
-    budget. Before any rotation, a "no" is certified when V1 is too small,
-    disconnected, or ruled out by forced shadow edges (`impossible`). Any
-    returned cycle is validated and spans V1(H) exactly — the search can fail
-    to find, but never returns a false positive. Deterministic for a fixed
-    (H, budget, rng seed).
+    budget. A "no" is certified (`impossible`) in three steps:
+    - before any rotation, when V1 is too small or disconnected;
+    - before any rotation, when forced shadow edges rule a spanning cycle
+      out, propagated to a fixpoint (stage one of the certificate);
+    - after a search that found no cycle, when the shadow graph pruned of
+      the edges no spanning cycle can use is disconnected on V1 or has a cut
+      vertex (stage two); rotations and restarts are reported as spent.
+    Any returned cycle is validated and spans V1(H) exactly — the search can
+    fail to find, but never returns a false positive. The search itself runs
+    on the unpruned shadow. Deterministic for a fixed (H, budget, rng seed).
     """
     if budget is None:
         budget = default_rotation_budget(H.n)
@@ -456,7 +564,7 @@ def rotation_extension_search(
     elif _reach(H.shadow.adj_masks, 1 << v1[0]).bit_count() < len(v1):
         reason = "non-isolated vertices are disconnected"
     else:
-        reason = _forced_edge_obstruction(H, v1)
+        reason, pruned = _forced_edge_pruning(H.shadow, v1)
     if reason is not None:
         return SearchOutcome(
             cycle=None, path=None, complete=False, exhausted=False, rotations=0,
@@ -475,7 +583,7 @@ def rotation_extension_search(
         )
     return SearchOutcome(
         cycle=None, path=lift_path(H, best), complete=False, exhausted=exhausted,
-        rotations=rots, restarts=restarts,
+        rotations=rots, impossible=_cut_vertex(shadow.adj, pruned, v1), restarts=restarts,
     )
 
 

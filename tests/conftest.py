@@ -26,6 +26,15 @@ def complete_hypergraph(n: int, d: int) -> Hypergraph:
     return Hypergraph.from_edges(n, d, combinations(range(n), d))
 
 
+def petersen() -> Hypergraph:
+    """The Petersen graph (d=2, n=10): 3-regular and 3-connected, so no
+    forced edge or cut vertex certifies that it has no Hamilton cycle."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Hypergraph.from_edges(10, 2, outer + spokes + inner)
+
+
 @st.composite
 def hypergraphs(draw, min_n=3, max_n=12, ds=(3, 4), min_edges=0, max_edges=None):
     """Random small Hypergraph: uniformity from `ds`, n in [min_n, max_n],

@@ -5,17 +5,21 @@ experiment kinds run through run_experiment on small inputs."""
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
-from weakham import harness
+from weakham import harness, oracle
 from weakham import (
     ExperimentConfig,
     Hypergraph,
     InputError,
     SeededRng,
     Table,
+    decide_weak_hamiltonian,
     edge_process,
     estimate_mindeg_probability,
     exact_weak_hamiltonian,
@@ -29,6 +33,7 @@ from weakham import (
     run_experiment,
     wilson_interval,
 )
+from weakham.randmodels import _process_rows
 
 Z95 = 1.959963984540054
 
@@ -196,6 +201,31 @@ def test_workers_do_not_change_output():
     one = run_experiment(make_config("threshold", dict(base, workers="1")))
     two = run_experiment(make_config("threshold", dict(base, workers="2")))
     assert one.to_csv_text() == two.to_csv_text()
+
+
+def _napping_square(x):
+    time.sleep(0.3)
+    return x * x
+
+
+def test_pool_forks_at_most_one_process_per_item():
+    # a side thread polls the live children while 2 items map on 4 workers
+    peak = []
+    done = threading.Event()
+
+    def watch():
+        while not done.is_set():
+            peak.append(len(multiprocessing.active_children()))
+            time.sleep(0.01)
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        assert harness._map_tasks(_napping_square, [2, 3], 4) == [4, 9]
+    finally:
+        done.set()
+        watcher.join()
+    assert 0 < max(peak) <= 2
 
 
 def test_estimate_mindeg_probability_deterministic_across_workers():
@@ -377,6 +407,48 @@ def test_process_matches_the_exact_oracle_on_every_prefix(n, d):
             heur = run_experiment(make_config("process", dict(opts, oracle_cutoff="0")))
             assert heur.column("tau") == tab.column("tau")
             assert all(int(h) >= e for h, (_, e) in zip(heur.column("t_ham"), exact))
+
+
+def test_process_n16_table_leaves_few_prefixes_to_the_dp_oracle(monkeypatch):
+    # of 200 trials, 11 prefixes reach the dp oracle; reading the shadow
+    # degrees alone, without pruning or the cut test, left 36
+    calls = []
+    real = oracle.exact_weak_hamiltonian
+
+    def counting(H, method="dp"):
+        calls.append(H.m)
+        return real(H, method)
+
+    monkeypatch.setattr(oracle, "exact_weak_hamiltonian", counting)
+    run_experiment(make_config("process", {"n": "16", "trials": "200", "seed": "0"}))
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("trial, idx, note", [
+    (5, 35, "vertex 13 lies on 3 forced shadow edges once forced edges are pruned "
+            "(a spanning cycle uses 2)"),
+    (5, 36, "vertex 13 lies on 3 forced shadow edges once forced edges are pruned "
+            "(a spanning cycle uses 2)"),
+    (16, 31, "forced shadow edges close a cycle through 3 of 30 non-isolated vertices "
+             "once forced edges are pruned"),
+])
+def test_n30_process_prefixes_the_search_gave_up_on_are_certified(trial, idx, note):
+    # the three prefixes in [tau, t_ham) of a 40-trial n=30 process at seed 1
+    # that five searches (300-500 rotations) left "unknown"
+    rng = SeededRng(1, trial)
+    H = Hypergraph._from_rows(30, 3, _process_rows(30, 3, rng)[:idx])
+    v = decide_weak_hamiltonian(H, rng=rng.shifted(harness._SEARCH_LANE + idx))
+    assert (v.answer, v.method, v.note) == ("no", "search", note)
+    assert v.search.rotations == 0
+
+
+def test_n30_threshold_table_leaves_no_trial_unknown():
+    # reading the shadow degrees alone left 4 of these 1000 trials
+    # "unknown"; pruning and the cut test certify all 4, and no "yes" moves
+    tab = run_experiment(make_config(
+        "threshold", {"n": "30", "c_grid": "0", "trials": "1000", "seed": "3"}))
+    counts = [tab.column(name) for name in ("ham_yes", "ham_no", "ham_unknown")]
+    assert counts == [["230"], ["770"], ["0"]]
 
 
 def test_process_tiny_universe_is_degenerate():

@@ -27,7 +27,7 @@ from weakham import (
 
 from weakham import _bitdp
 
-from conftest import complete_hypergraph
+from conftest import complete_hypergraph, petersen
 
 
 def H(n, d, edges):
@@ -178,12 +178,12 @@ def test_decide_trivial_no_is_the_oracles():
 
 
 def test_decide_keeps_the_search_provenance():
-    # two K_5^(3) sharing vertex 4: no certificate, and a zero budget stalls
-    blocks = H(9, 3, list(combinations(range(5), 3)) + list(combinations(range(4, 9), 3)))
-    oracle = decide_weak_hamiltonian(blocks, budget=0, oracle_cutoff=20)
+    # the Petersen graph: no certificate, and a zero budget stalls
+    graph = petersen()
+    oracle = decide_weak_hamiltonian(graph, budget=0, oracle_cutoff=20)
     assert (oracle.answer, oracle.method, oracle.note) == ("no", "dp", None)
     assert oracle.search.exhausted and oracle.search.rotations == 0
-    unknown = decide_weak_hamiltonian(blocks, budget=0)
+    unknown = decide_weak_hamiltonian(graph, budget=0)
     assert (unknown.answer, unknown.method) == ("unknown", "search")
     assert unknown.note == "search gave up without a certificate"
     assert unknown.search == oracle.search

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakham import (
@@ -39,9 +39,10 @@ from weakham import (
     weak_from_json,
     weak_to_json,
 )
-from weakham.weakpaths import default_rotation_budget
+from weakham.hypercore import _reach
+from weakham.weakpaths import _cut_vertex, _forced_edge_pruning, default_rotation_budget
 
-from conftest import audit_rotations, complete_hypergraph, hypergraphs
+from conftest import audit_rotations, complete_hypergraph, hypergraphs, petersen
 
 
 def H(n, d, edges):
@@ -423,11 +424,9 @@ def test_search_complete_graphs_over_sizes():
 
 
 def test_search_reports_spent_restarts():
-    # two complete blocks sharing the cut vertex 4: connected, no vertex of
-    # shadow degree 2, but no spanning cycle, so the search gives up on
-    # restarts rather than on its rotation budget
-    blocks = H(9, 3, list(combinations(range(5), 3)) + list(combinations(range(4, 9), 3)))
-    out = rotation_extension_search(blocks, rng=SeededRng(1))
+    # the Petersen graph has no Hamilton cycle and no certificate, so the
+    # search gives up on restarts rather than on its rotation budget
+    out = rotation_extension_search(petersen(), rng=SeededRng(1))
     assert not out.complete and out.impossible is None
     assert not out.exhausted and out.restarts == 4
     for seed in range(20):
@@ -475,6 +474,44 @@ def test_search_certifies_a_forced_triangle_at_n1000():
     assert out.impossible.startswith("forced shadow edges close a cycle through 3 of")
 
 
+@pytest.mark.parametrize("n, edges, note", [
+    # round one forces 4-0-3-6-5-1-2; 5 drops 2 and 4, and 4 then forces
+    # a third edge at 3
+    (7, [(0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6)],
+     "vertex 3 lies on 3 forced shadow edges once forced edges are pruned "
+     "(a spanning cycle uses 2)"),
+    (7, [(0, 2), (0, 4), (1, 3), (1, 5), (1, 6), (2, 5), (2, 6), (3, 4), (4, 5), (4, 6)],
+     "vertex 5 keeps only 1 shadow edge once forced edges are pruned "
+     "(a spanning cycle needs 2)"),
+    (8, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 7), (4, 5), (4, 6), (4, 7),
+         (6, 7)],
+     "forced shadow edges close a cycle through 5 of 8 non-isolated vertices "
+     "once forced edges are pruned"),
+])
+def test_propagated_forced_edges_certify_before_any_rotation(n, edges, note):
+    Hs = H(n, 2, edges)
+    out = rotation_extension_search(Hs, rng=SeededRng(0))
+    assert out.impossible == note
+    assert out.rotations == 0 and out.path is None
+    assert exact_weak_hamiltonian(Hs).answer == "no"
+
+
+def test_search_certifies_a_cut_vertex_after_it_fails():
+    # two complete blocks sharing vertex 4: connected, no vertex with two
+    # usable edges, so only the cut test after the search decides
+    blocks = H(9, 3, list(combinations(range(5), 3)) + list(combinations(range(4, 9), 3)))
+    out = rotation_extension_search(blocks, rng=SeededRng(1))
+    assert not out.complete and not out.exhausted
+    assert out.impossible == "vertex 4 is a cut vertex of the pruned shadow graph"
+    assert out.rotations > 0 and out.restarts == 4
+    assert validate(out.path, blocks).ok
+    # pruning can leave a cut vertex that the unpruned shadow lacks
+    out = rotation_extension_search(H(7, 2, [
+        (0, 4), (0, 6), (1, 2), (1, 3), (1, 5), (2, 3), (3, 5), (4, 5), (4, 6), (5, 6)]))
+    assert out.impossible == "vertex 5 is a cut vertex of the pruned shadow graph"
+    assert out.rotations > 0
+
+
 def _spans_v1_exactly(Hs):
     """Whether a weak cycle spans V1(Hs): the exact oracle on Hs with its
     non-isolated vertices relabelled 0..|V1|-1."""
@@ -490,6 +527,51 @@ def test_forced_edge_certificate_never_fires_on_a_yes(Hs):
         assert not _spans_v1_exactly(Hs)
     if out.complete:
         assert out.impossible is None
+
+
+@st.composite
+def _near_window(draw):
+    """G(n,p) at p = p_from_c(n, d, c), with c around the threshold window,
+    so both stages of the certificate fire often."""
+    n = draw(st.integers(5, 12))
+    d = draw(st.sampled_from([2, 3, 4]))
+    c = draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]))
+    return _gnp(n, d, min(1.0, p_from_c(n, d, c)), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=300)
+@given(_near_window())
+def test_either_certificate_stage_implies_no_on_v1(Hs):
+    out = rotation_extension_search(Hs, rng=SeededRng(0))
+    if len(non_isolated_vertices(Hs)) >= 3 and out.impossible is not None:
+        assert not _spans_v1_exactly(Hs), out.impossible
+
+
+def _two_connected_by_brute_force(masks, v1):
+    """V1 connected, and connected again with any one vertex dropped: one
+    _reach over each of these vertex sets."""
+    full = sum(1 << v for v in v1)
+    keep = [full] + [full & ~(1 << v) for v in v1]
+    return all(_reach([m & rest for m in masks], rest & -rest) == rest for rest in keep)
+
+
+@settings(max_examples=300)
+@given(hypergraphs(min_n=3, max_n=12, ds=(2,)))
+def test_cut_vertex_dfs_agrees_with_dropping_each_vertex(Hs):
+    v1 = non_isolated_vertices(Hs)
+    if len(v1) < 3:
+        return
+    shadow = Hs.shadow
+    # the unpruned masks, and the pruned ones (read through _members)
+    for masks in (list(shadow.adj_masks), _forced_edge_pruning(shadow, v1)[1]):
+        note = _cut_vertex(shadow.adj, masks, v1)
+        assert (note is None) == _two_connected_by_brute_force(masks, v1)
+        if note is not None and note.startswith("vertex "):
+            v = int(note.split()[1])
+            rest = sum(1 << w for w in v1 if w != v)
+            assert _reach([m & rest for m in masks], rest & -rest) != rest
+        elif note is not None:
+            assert _reach(masks, 1 << v1[0]).bit_count() < len(v1)
 
 
 def test_search_deterministic_under_seed():
