@@ -24,6 +24,7 @@ covering event directly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterable
@@ -31,7 +32,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .hypercore import Hypergraph, is_connected_on, neighbors, non_isolated_vertices
+from .hypercore import (
+    Hypergraph,
+    _bit_words,
+    _check_mask_words,
+    is_connected_on,
+    neighbors,
+    non_isolated_vertices,
+)
 from .randmodels import SeededRng
 
 __all__ = [
@@ -116,20 +124,32 @@ class SampledCheck:
     samples_used: int
 
 
-# random draws are checked for non-expansion this many at a time, which
-# bounds the memory of one test whatever the number of samples
+# random draws are replayed and checked for non-expansion at most this many
+# at a time, and fewer when their rows would pass _CHUNK_BYTES: the member
+# rows of the shadow words plus _REPLAY_WORDS uint64 words of replay scratch
+# (word stream, draw matrices, the tail shuffle's position map) per member
 _SAMPLE_CHUNK = 256
+_CHUNK_BYTES = 1 << 24
+_REPLAY_WORDS = 96
 # subsets scanned in order are checked this many at a time
 _SCAN_CHUNK = 1 << 14
+# numpy's choice without replacement shuffles the tail of arange(k) instead
+# of running Floyd's algorithm when k > _TAIL_POOL and s > k // _TAIL_SHARE
+_TAIL_POOL = 10_000
+_TAIL_SHARE = 50
 
 
 def _shadow_words(H: Hypergraph) -> np.ndarray:
     """The shadow's bitmasks as (n+1) x (n // 64 + 1) uint64 words: bit w of
     row v is set iff v ~ w. Row n is all zero and bit n exists, so vertex n
-    serves as padding in index matrices."""
-    width = 8 * (H.n // 64 + 1)
-    buf = b"".join(m.to_bytes(width, "little") for m in H.shadow.adj_masks)
-    return np.frombuffer(buf + bytes(width), dtype="<u8").reshape(H.n + 1, -1)
+    serves as padding in index matrices. Packed straight from the covered
+    pairs, so the words are the only n x n/64 array built; CapabilityError
+    above _SHADOW_WORD_LIMIT, as for the shadow."""
+    n = H.n
+    _check_mask_words(n)
+    codes, _ = H._pairs
+    u, v = np.divmod(codes, n)
+    return _bit_words(n, np.concatenate((u, v)), np.concatenate((v, u)), n + 1)
 
 
 def _non_expanding(words: np.ndarray, idx: np.ndarray, sizes) -> np.ndarray:
@@ -168,6 +188,166 @@ def _first_hit(words: np.ndarray, pool, s: int) -> tuple[int, tuple[int, ...] | 
             return math.comb(k, s) - after, tuple(pool[c].tolist())
 
 
+def _bounded(words: np.ndarray, ex) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draw in [0, ex) from each 32-bit word (uint64 arrays, ex >= 1),
+    as numpy's bounded integers take it, and whether numpy rejects the word
+    and draws again: the product's low half lies below (2**32 - ex) % ex.
+    An ex of 1 gives 0 and never rejects."""
+    m = words * ex
+    return m >> 32, (m & 0xFFFFFFFF) < (2**32 - ex) % ex
+
+
+def _floyd_draws(words, st, s, k: int, max_size: int):
+    """numpy's Floyd branch of `choice(k, s, replace=False)` for rounds whose
+    words start at st: step t draws v in [0, j], j = k - s + t (no word for
+    j = 0), and keeps v unless it was drawn before, else j; then
+    `_shuffle_int` swaps position i with a draw in [0, i], i = s - 1 .. 1.
+    Works step-major (max_size x rounds), so each step is a contiguous row.
+    Returns (members padded with k, positions of rejected words)."""
+    m = s.size
+    t = np.arange(max_size)[:, None]
+    rounds = np.arange(m)
+    live = t < s
+    j = k - s + t
+    full = s == k  # its j = 0 step takes no word
+    pos = np.where(live, st + t - full, 0)
+    v, rej = _bounded(words[pos], np.where(live, j + 1, 1).astype(np.uint64))
+    v = v.astype(np.int64)
+    # v is already in the set when it repeats an earlier step's v (kept
+    # then, or present already) or equals the j an earlier step kept in
+    # place of a repeat; repeats come from one stable sort, so the work is
+    # rounds x s log s, not s^2
+    order = np.argsort(v, axis=0, kind="stable")
+    sv = v[order, rounds]
+    dup = np.zeros((max_size, m), dtype=bool)
+    dup[order[1:], rounds] = sv[1:] == sv[:-1]
+    step = v - (k - s)
+    by_j = (step >= 0) & (step < t)
+    at = np.where(by_j, step, 0) * m + rounds
+    flat = dup.reshape(-1)
+    for c in range(1, max_size):
+        dup[c] |= by_j[c] & flat[at[c]]
+    out = np.where(live, np.where(dup, j, v), k)
+
+    live &= t >= 1
+    pos2 = np.where(live, st + 2 * s - full - 1 - t, 0)
+    swap, rej2 = _bounded(words[pos2], np.where(live, t + 1, 1).astype(np.uint64))
+    to = np.where(live, swap.astype(np.int64), t) * m + rounds
+    flat = out.reshape(-1)
+    for i in range(max_size - 1, 0, -1):
+        held = flat[to[i]]
+        flat[to[i]] = out[i]
+        out[i] = held
+    return out.T, np.concatenate([pos[rej], pos2[rej2]])
+
+
+def _tail_draws(words, st, s, k: int, max_size: int):
+    """numpy's tail branch of `choice(k, s, replace=False)` for rounds whose
+    words start at st: `_shuffle_int` over arange(k) swaps position i with a
+    draw in [0, i] for i = k - 1 .. max(k - s, 1), and the last s positions
+    are the members. The rounds x k position map is linear in rounds x s,
+    since this branch runs only for s > k // _TAIL_SHARE. Step-major, as
+    `_floyd_draws`, with the same return."""
+    m = s.size
+    t = np.arange(max_size)[:, None]
+    rounds = np.arange(m)
+    live = t < np.minimum(s, k - 1)
+    pos = np.where(live, st + t, 0)
+    swap, rej = _bounded(words[pos], np.where(live, k - t, 1).astype(np.uint64))
+    swap = np.where(live, swap.astype(np.int64), k - 1 - t)
+    perm = np.tile(np.arange(k, dtype=np.int64), (m, 1))
+    for c in range(max_size):
+        i = k - 1 - c
+        held = perm[rounds, swap[c]]
+        perm[rounds, swap[c]] = perm[:, i]
+        perm[:, i] = held
+    out = np.where(t < s, perm[rounds, np.minimum(k - s + t, k - 1)], k)
+    return out.T, pos[rej]
+
+
+def _replay_draws(gen: np.random.Generator, k: int, max_size: int, count: int):
+    """`count` rounds of `s = gen.integers(1, max_size + 1)` then
+    `gen.choice(k, s, replace=False)`, computed from one block of raw PCG64
+    words instead of 2 * count Generator calls.
+
+    numpy takes every draw of a round from PCG64's `next_uint32` stream:
+    each 64-bit output's low half, then its high half, a pending half first.
+    The size is one Lemire draw (none when max_size is 1), then come the
+    choice's draws (`_floyd_draws`, `_tail_draws`). A size draw at every
+    word gives the words each round would take from there, and a loop over
+    the rounds follows the chain of their starts. A word that a Lemire draw
+    rejects is deleted from the stream, and the rounds are recomputed from
+    the one that drew it.
+
+    Returns (members, sizes, seek): row i of members (count x max_size)
+    holds round i's draws in numpy's order, padded with k, and seek(i)
+    leaves gen exactly as numpy leaves it after round i. Needs a PCG64
+    generator and k < 2**32.
+    """
+    bg = gen.bit_generator
+    saved = bg.state
+    half = saved["has_uint32"]
+    off = int(max_size > 1)
+    # enough words for every round when none is rejected, and the next start
+    need = count * (off + 2 * max_size - 1) + 1
+    raw = np.empty(0, dtype=np.uint64)
+    words = np.full(half, saved["uinteger"], dtype=np.uint64)
+    gone: list[int] = []  # stream positions of rejected words, ascending
+    starts = [0] * (count + 1)
+    sizes = np.empty(count, dtype=np.int64)
+    members = np.empty((count, max_size), dtype=np.int64)
+    first = 0
+    while True:
+        if words.size < need:
+            block = bg.random_raw((need - words.size + 1) // 2)
+            raw = np.concatenate([raw, block])
+            halves = block.astype("<u8", copy=False).view("<u4")  # low, high
+            words = np.concatenate([words, halves.astype(np.uint64)])
+        size_at, size_rej = _bounded(words, max_size)
+        size_at = size_at.astype(np.int64) + 1
+        tail = (k > _TAIL_POOL) & (size_at > k // _TAIL_SHARE)
+        span = off + np.where(
+            tail, np.minimum(size_at, k - 1), 2 * size_at - 1 - (size_at == k)
+        )
+        span = span.tolist()
+        p = starts[first]
+        for i in range(first, count):
+            starts[i] = p
+            p += span[p]
+        starts[count] = p
+        st = np.array(starts[first:count], dtype=np.int64)
+        s = size_at[st]
+        sizes[first:] = s
+        rejected = [st[size_rej[st]]]
+        for draws, pick in ((_floyd_draws, ~tail[st]), (_tail_draws, tail[st])):
+            at = np.flatnonzero(pick)
+            if at.size:
+                out, rej = draws(words, st[at] + off, s[at], k, max_size)
+                members[first + at] = out
+                rejected.append(rej)
+        bad = min((int(r.min()) for r in rejected if r.size), default=None)
+        if bad is None:
+            break
+        first = bisect_right(starts, bad, 0, count) - 1
+        words = np.delete(words, bad)
+        gone.append(bad)
+
+    def seek(i: int) -> None:
+        q = starts[i]
+        used = q + bisect_left(gone, q) - half  # halves taken from raw outputs
+        bg.state = saved
+        if used >= 0:
+            r = (used + 1) // 2
+            bg.advance(r)
+            state = bg.state
+            # numpy leaves the stale high half in uinteger when none is pending
+            state["has_uint32"] = used & 1
+            state["uinteger"] = int(raw[r - 1] >> 32) if r else saved["uinteger"]
+            bg.state = state
+
+    return members, sizes, seek
+
+
 def u_sampled_check(
     H: Hypergraph,
     u_target: int,
@@ -188,7 +368,13 @@ def u_sampled_check(
       Only subsets of vertices of shadow degree below 3s - 1 can fail
       (deg < 2 for singletons, deg <= 4 for pairs), so only those are checked.
     - Then `samples` random subsets: each draws its size uniformly from
-      [1, min(u_target - 1, |pool|)] and its members without replacement.
+      [1, min(u_target - 1, |pool|)] and its members without replacement,
+      as `gen.integers(1, max_size + 1)` then `gen.choice(|pool|, s,
+      replace=False)` would, one subset after another. `_replay_draws`
+      computes these draws a chunk at a time from raw PCG64 words, with the
+      same bytes; a chunk holds at most 256 subsets and about _CHUNK_BYTES
+      (16 MiB) of replay scratch and gathered shadow words, so memory does
+      not grow with n^2 as the target grows with n.
     - A random hit is greedily shrunk to a (locally) minimal counterexample:
       repeatedly drop the first vertex, in a fresh random order, whose
       removal leaves the set non-expanding.
@@ -221,10 +407,6 @@ def u_sampled_check(
 
     gen = (rng or SeededRng(0, 0)).generator()
 
-    def draw() -> np.ndarray:
-        s = int(gen.integers(1, max_size + 1))
-        return pool[gen.choice(k, size=s, replace=False)]
-
     def shrink(A: list[int]) -> list[int]:
         changed = True
         while changed and len(A) > 1:
@@ -237,20 +419,21 @@ def u_sampled_check(
                     break
         return A
 
-    for start in range(0, samples, _SAMPLE_CHUNK):
-        state = gen.bit_generator.state
-        drawn = [draw() for _ in range(min(_SAMPLE_CHUNK, samples - start))]
-        sizes = np.array([A.size for A in drawn])
-        idx = np.full((len(drawn), max_size), H.n, dtype=np.int64)
-        idx[np.arange(max_size) < sizes[:, None]] = np.concatenate(drawn)
-        hits = np.flatnonzero(_non_expanding(words, idx, sizes))
+    padded = np.append(pool, H.n)  # member k of a replayed round is padding
+    slot_bytes = 8 * max_size * (words.shape[1] + _REPLAY_WORDS)
+    rows = max(1, min(_SAMPLE_CHUNK, _CHUNK_BYTES // slot_bytes))
+    for start in range(0, samples, rows):
+        count = min(rows, samples - start)
+        members, sizes, seek = _replay_draws(gen, k, max_size, count)
+        hits = np.flatnonzero(_non_expanding(words, padded[members], sizes))
         if hits.size:
-            # replay the chunk up to the hit so shrink draws from the
-            # generator state a one-at-a-time scan would have left
-            gen.bit_generator.state = state
-            for _ in range(int(hits[0]) + 1):
-                A = draw()
-            return found(shrink(A.tolist()), used + start + int(hits[0]) + 1)
+            h = int(hits[0])
+            # leave the generator where a one-at-a-time scan would have
+            # stopped, so shrink draws the same permutations
+            seek(h + 1)
+            A = padded[members[h, : sizes[h]]].tolist()
+            return found(shrink(A), used + start + h + 1)
+        seek(count)
     return SampledCheck(ok=True, counterexample=None, samples_used=used + samples)
 
 

@@ -291,15 +291,21 @@ def _check_mask_words(n: int) -> None:
         )
 
 
-def _bit_rows(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...]:
-    """Row v of the n x n bit matrix with bit dst[i] set in row src[i], for
-    each v, as an int (packed as little-endian uint64 words)."""
+def _bit_words(n: int, src: np.ndarray, dst: np.ndarray, rows: int) -> np.ndarray:
+    """The rows x (n // 64 + 1) bit matrix, as little-endian uint64 words,
+    with bit dst[i] set in row src[i]."""
     words = n // 64 + 1
-    packed = np.zeros(n * words, dtype="<u8")
+    packed = np.zeros(rows * words, dtype="<u8")
     bits = np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64))
     np.bitwise_or.at(packed, src * words + (dst >> 6), bits)
-    buf = packed.tobytes()
-    step = 8 * words
+    return packed.reshape(rows, words)
+
+
+def _bit_rows(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...]:
+    """Row v of the n x n bit matrix with bit dst[i] set in row src[i], for
+    each v, as an int."""
+    buf = _bit_words(n, src, dst, n).tobytes()
+    step = 8 * (n // 64 + 1)
     return tuple(int.from_bytes(buf[i:i + step], "little") for i in range(0, len(buf), step))
 
 

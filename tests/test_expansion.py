@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,7 @@ from weakham.expansion import (
     _SCAN_CHUNK,
     _first_hit,
     _mixed_candidates,
+    _replay_draws,
     _shadow_words,
 )
 
@@ -352,6 +355,100 @@ def test_u_sampled_check_hit_after_first_chunk_matches_reference():
     assert got.samples_used - (24 + math.comb(24, 2)) > _SAMPLE_CHUNK
     assert got.counterexample == frozenset({1, 3, 4, 5, 10, 13})
     assert got.samples_used == 667
+
+
+def test_u_sampled_check_memory_is_bounded_by_bytes():
+    # at n = 12,000 one chunk of 256 rows of 444 members would gather
+    # 171 MB of shadow words; the chunk's byte budget keeps the whole
+    # check, shadow words included, far below that
+    n = 12_000
+    Hs = _gnp(n, 3, p_from_c(n, 3, 0), seed=1)
+    tracemalloc.start()
+    try:
+        chk = u_sampled_check(Hs, math.ceil(n / 27), 256, rng=SeededRng(1, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.samples_used == len(non_isolated_vertices(Hs)) + 256
+    assert peak < 64 * 2**20
+
+
+# ------------------------------------------------------------- draw replay
+
+
+def _numpy_rounds(gen, k, max_size, count):
+    """The rounds through numpy's own calls, one at a time, with the
+    generator state before the first and after each."""
+    rounds, states = [], [gen.bit_generator.state]
+    for _ in range(count):
+        s = int(gen.integers(1, max_size + 1))
+        rounds.append(gen.choice(k, size=s, replace=False).tolist())
+        states.append(gen.bit_generator.state)
+    return rounds, states
+
+
+def _assert_replay_matches_numpy(seed, k, max_size, count, pending, h):
+    gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:  # leaves the high half of a word pending
+        gen.integers(0, 5)
+        ref.integers(0, 5)
+    rounds, states = _numpy_rounds(ref, k, max_size, count)
+    members, sizes, seek = _replay_draws(gen, k, max_size, count)
+    assert [row[:s].tolist() for row, s in zip(members, sizes)] == rounds
+    assert (members[np.arange(max_size) >= sizes[:, None]] == k).all()
+    seek(h)
+    assert gen.bit_generator.state == states[h]
+    ref.bit_generator.state = states[h]
+    assert gen.permutation(7).tolist() == ref.permutation(7).tolist()
+    assert gen.integers(0, 1000, 5).tolist() == ref.integers(0, 1000, 5).tolist()
+    return sizes
+
+
+@st.composite
+def _replay_cases(draw):
+    # tiny pools (s == k is common), pools of 2**31 and up (where a Floyd
+    # step's Lemire draw rejects up to one word in two) and pools either
+    # side of the tail-shuffle boundary at 10,000
+    k, top = draw(st.one_of(
+        st.tuples(st.integers(min_value=1, max_value=12), st.just(12)),
+        st.tuples(st.integers(min_value=1, max_value=200), st.just(40)),
+        st.tuples(st.integers(min_value=2**31, max_value=2**32 - 2), st.just(12)),
+        st.tuples(st.integers(min_value=9_990, max_value=13_000), st.just(300)),
+    ))
+    max_size = draw(st.integers(min_value=1, max_value=min(k, top)))
+    count = draw(st.integers(min_value=1, max_value=60))
+    return (
+        draw(st.integers(min_value=0, max_value=2**32)),
+        k,
+        max_size,
+        count,
+        draw(st.booleans()),
+        draw(st.integers(min_value=0, max_value=count)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_cases())
+def test_replay_matches_numpy(case):
+    _assert_replay_matches_numpy(*case)
+
+
+@pytest.mark.parametrize("k, max_size", [(1, 1), (9, 1), (3, 3), (2**31 + 5, 12)])
+@pytest.mark.parametrize("pending", [False, True])
+def test_replay_matches_numpy_at_the_edges(k, max_size, pending):
+    # max_size 1 takes no size word, k = max_size has rounds with s == k
+    # whose j = 0 step takes no word, and at 2**31 + 5 the Floyd steps
+    # reject about half their words
+    for seed in range(4):
+        _assert_replay_matches_numpy(seed, k, max_size, 80, pending, 17 * seed)
+
+
+@pytest.mark.parametrize("k, max_size, seed", [(10_001, 201, 5), (12_000, 300, 0)])
+def test_replay_matches_numpy_across_the_tail_shuffle_boundary(k, max_size, seed):
+    # numpy runs Floyd's algorithm for s <= k // 50 and shuffles the tail of
+    # arange(k) above it; these rounds draw both sizes next to the boundary
+    sizes = _assert_replay_matches_numpy(seed, k, max_size, 256, True, 101)
+    assert {k // 50, k // 50 + 1} <= set(sizes.tolist())
 
 
 EXPANSION_GOLD = os.path.join(os.path.dirname(__file__), "data", "expansion_gold.csv")

@@ -203,6 +203,17 @@ def test_workers_do_not_change_output():
     assert one.to_csv_text() == two.to_csv_text()
 
 
+def test_workers_do_not_change_expansion_output():
+    # at n = 60 every trial has more than 22 non-isolated vertices, so each
+    # runs the sampled checks, whose draws are replayed chunk by chunk
+    base = {"n": "60", "trials": "6", "c_grid": "-1,0,1", "samples": "600", "seed": "4"}
+    one = run_experiment(make_config("expansion", dict(base, workers="1")))
+    two = run_experiment(make_config("expansion", dict(base, workers="2")))
+    assert one.to_csv_text() == two.to_csv_text()
+    exhaustive = one.columns.index("u_exhaustive")
+    assert not any(row[exhaustive] for row in one.rows)
+
+
 def _napping_square(x):
     time.sleep(0.3)
     return x * x
