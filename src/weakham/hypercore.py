@@ -8,13 +8,12 @@ an ordinary graph Hamilton cycle on W. Path and cycle machinery therefore
 consults the shadow; degree/expansion/booster machinery consults the
 hyperedges themselves.
 
-Vertices are 0-based contiguous ids. Edges are stored as strictly ascending
-tuples and the edge set is kept lexicographically sorted, which gives a
-canonical form: equal hypergraphs serialize to identical bytes.
-
-Each hypergraph also holds its edges as an (m, d) int64 array, `rows`, and
-the derived structures are built from it with numpy. Degrees are a
-`bincount`. Every edge contributes its C(d, 2) pairs as codes u*n + v
+Vertices are 0-based contiguous ids. A hypergraph stores its edges once, as
+an (m, d) int64 array `rows` of strictly ascending rows in lexicographic
+order, which gives a canonical form: equal hypergraphs serialize to
+identical bytes. Edge tuples are built from `rows` only where a caller
+reads them; the derived structures are built from it with numpy. Degrees
+are a `bincount`. Every edge contributes its C(d, 2) pairs as codes u*n + v
 (u < v), laid out edge-major, so `np.unique(codes, return_index=True)` gives
 the covered pairs in order together with the first position of each; that
 position over C(d, 2) is the lexicographically smallest edge covering the
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,47 +57,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hypergraph:
     """A d-uniform hypergraph on vertices 0..n-1 with a duplicate-free edge set.
 
     Invariants (enforced at construction):
       * every edge is a strictly ascending d-tuple over [0, n)
-      * no repeated edges
+      * no repeated edges; edges in lexicographic order
       * d >= 2; n >= d whenever the edge set is non-empty
 
-    `rows` holds the same edges, in the same order, as a read-only (m, d)
-    int64 array, built from `edges`. `_from_rows` and `induced`, which
-    already hold that array, hand it over through `_with_rows` instead.
+    `edges`, d-tuples or an (m, d) integer array, is copied into `rows`, the
+    read-only (m, d) int64 array that is the only stored form of the edges
+    and what equality and hashing compare (with n and d).
     """
 
     n: int
     d: int
-    edges: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise InputError(f"d must be >= 2, got {self.d}")
-        if self.n < 0:
-            raise InputError(f"n must be >= 0, got {self.n}")
-        if self.edges and self.n < self.d:
-            raise InputError(f"n={self.n} < d={self.d} with non-empty edge set")
-        rows = self.__dict__.get("rows")  # preset by _with_rows only
-        if rows is None:
-            rows = _edge_rows(self.n, self.d, self.edges)
-        _check_rows(self.n, rows, self.edges)
+    def __init__(self, n: int, d: int, edges) -> None:
+        if d < 2:
+            raise InputError(f"d must be >= 2, got {d}")
+        if n < 0:
+            raise InputError(f"n must be >= 0, got {n}")
+        if len(edges) and n < d:
+            raise InputError(f"n={n} < d={d} with non-empty edge set")
+        rows = _edge_rows(n, d, edges)
+        _check_rows(n, rows)
         rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(n=n, d=d, rows=rows)
 
-    @staticmethod
-    def _with_rows(n: int, d: int, edges, rows: np.ndarray) -> "Hypergraph":
-        """`Hypergraph(n, d, edges)`, validated as usual, keeping `rows` (a
-        private array trusted to hold the same edges in the same order) as
-        its `rows` instead of building them."""
-        H = object.__new__(Hypergraph)
-        H.__dict__["rows"] = rows
-        H.__init__(n, d, edges)
-        return H
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Hypergraph) and (self.n, self.d) == (other.n, other.d)
+        return same and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d, self.rows.tobytes()))
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
@@ -117,12 +110,16 @@ class Hypergraph:
         """The hypergraph of a (k, d) int64 array of ascending rows in any
         order (a sampler's draw): rows are sorted lexicographically and then
         validated like any edge list."""
-        rows = rows[np.lexsort(rows.T[::-1])]
-        return Hypergraph._with_rows(n, d, tuple(map(tuple, rows.tolist())), rows)
+        return Hypergraph(n, d, rows[np.lexsort(rows.T[::-1])])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ints, built on first read."""
+        return tuple(map(tuple, self.rows.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -157,26 +154,30 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _edge_rows(n: int, d: int, edges: Sequence[Sequence[int]]) -> np.ndarray:
-    """The edges as a (len(edges), d) int64 array. Raises InputError for an
-    edge of the wrong arity, unless an earlier edge already breaks the
+def _edge_rows(n: int, d: int, edges) -> np.ndarray:
+    """A copy of the edges as an (m, d) int64 array. Raises InputError for
+    an edge of the wrong arity, unless an earlier edge already breaks the
     invariants, and for vertices that are not 64-bit integers."""
-    good = next((i for i, e in enumerate(edges) if len(e) != d), len(edges))
-    rows = np.asarray(edges[:good]) if good else np.empty((0, d), dtype=np.int64)
-    if rows.dtype.kind not in "iu":
-        raise InputError("edge vertices must be 64-bit integers")
-    rows = rows.astype(np.int64, copy=False)
-    if good < len(edges):
-        _check_rows(n, rows, edges)
+    try:
+        rows = np.array(edges) if len(edges) else np.empty((0, d), dtype=np.int64)
+    except ValueError:  # edges of different arities
+        rows = np.empty(0)
+    if rows.shape[1:] != (d,):
+        good = next((i for i, e in enumerate(edges) if len(e) != d), None)
+        if good is None:  # d entries each, but not all of them integers
+            raise InputError("edge vertices must be 64-bit integers")
+        _check_rows(n, _edge_rows(n, d, edges[:good]))
         e = edges[good]
         raise InputError(f"edge {e} has arity {len(e)}, expected {d}")
-    return rows
+    if rows.dtype.kind not in "iu":
+        raise InputError("edge vertices must be 64-bit integers")
+    return rows.astype(np.int64, copy=False)
 
 
-def _check_rows(n: int, rows: np.ndarray, edges: Sequence[Sequence[int]]) -> None:
-    """Raise InputError for the first edge that breaks the invariants, in
-    list order, checking each edge's range, then its order, then its place
-    against the previous edge (`edges` are the same rows, for messages)."""
+def _check_rows(n: int, rows: np.ndarray) -> None:
+    """Raise InputError naming the first row that breaks the invariants, in
+    row order, checking each row's range, then its order, then its place
+    against the previous row."""
     outside = ((rows < 0) | (rows >= n)).any(axis=1)
     unsorted = (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
     diff = rows[1:] != rows[:-1]
@@ -190,7 +191,7 @@ def _check_rows(n: int, rows: np.ndarray, edges: Sequence[Sequence[int]]) -> Non
     if bad.size == 0:
         return
     i = int(bad[0])
-    e = edges[i]
+    e = tuple(rows[i].tolist())
     if outside[i]:
         raise InputError(f"edge {e} has a vertex outside [0, {n})")
     if unsorted[i]:
@@ -320,10 +321,7 @@ def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
         _check_vertex(H, v)
     inw = np.zeros(H.n, dtype=bool)
     inw[list(ws)] = True
-    keep = inw[H.rows].all(axis=1)
-    return Hypergraph._with_rows(
-        H.n, H.d, tuple(compress(H.edges, keep.tolist())), H.rows[keep]
-    )
+    return Hypergraph(H.n, H.d, H.rows[inw[H.rows].all(axis=1)])
 
 
 def _reach(masks: Sequence[int], seed: int) -> int:
@@ -400,7 +398,7 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
 
 def format_hypergraph(H: Hypergraph) -> str:
     lines = [f"{H.d} {H.n} {H.m}"]
-    lines.extend(" ".join(str(v) for v in e) for e in H.edges)
+    lines.extend(" ".join(map(str, e)) for e in H.rows.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -115,7 +115,7 @@ def _direct_hamilton(H: Hypergraph) -> WeakCycle | None:
     n = H.n
     full = (1 << n) - 1
     inc: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in H.edges:
+    for e in map(tuple, H.rows.tolist()):
         for v in e:
             inc[v].append(e)
     dead: set[tuple[int, int]] = set()

@@ -372,7 +372,7 @@ def _cover_edges(H: Hypergraph, us: np.ndarray, vs: np.ndarray) -> list[tuple[in
     if not hit.all():
         i = int(hit.argmin())
         raise InputError(f"pair ({us[i]}, {vs[i]}) is not covered by any edge")
-    return [H.edges[i] for i in first[pos].tolist()]
+    return list(map(tuple, H.rows[first[pos]].tolist()))
 
 
 def lift_path(H: Hypergraph, vseq) -> WeakPath:

@@ -411,6 +411,9 @@ def test_array_structures_match_scalar_loops(case):
     adj = _scalar_adj(h)
     cover = _scalar_cover(h)
     assert h.rows.shape == (h.m, h.d) and h.rows.tolist() == [list(e) for e in h.edges]
+    same = Hypergraph.from_edges(h.n, h.d, h.edges)
+    text = parse_hypergraph(format_hypergraph(h))
+    assert h == same == text and hash(h) == hash(same) == hash(text)
     assert h._degrees == _scalar_degrees(h)
     assert h.shadow.adj == adj
     assert h.shadow.adj_masks == tuple(sum(1 << w for w in nbrs) for nbrs in adj)
@@ -465,7 +468,9 @@ def test_row_constructor_raises_like_public_constructor(n, rows):
         Hypergraph(n, 3, tuple(sorted(rows)))
     with pytest.raises(InputError) as internal:
         Hypergraph._from_rows(n, 3, arr)
-    assert str(internal.value) == str(public.value)
+    with pytest.raises(InputError) as public_array:
+        Hypergraph(n, 3, np.array(sorted(rows)))
+    assert str(internal.value) == str(public.value) == str(public_array.value)
 
 
 def test_public_constructor_takes_no_rows():
@@ -481,6 +486,13 @@ def test_public_constructor_takes_no_rows():
     h = Hypergraph(4, 2, ((0, 1),))
     assert h.rows.tolist() == [[0, 1]]
     assert h.shadow.adj == ((1,), (0,), (), ())
+    # an array given as the edges is copied: the caller's stays writeable,
+    # and writing to it leaves the hypergraph as it was
+    g = Hypergraph(4, 2, arr)
+    assert arr.flags.writeable and not g.rows.flags.writeable
+    arr[0] = (0, 1)
+    assert g.rows.tolist() == [[2, 3]] and "edges" not in g.__dict__
+    assert g.edges == ((2, 3),) and "edges" in g.__dict__
 
 
 def test_constructor_reports_the_first_bad_edge_in_list_order():

@@ -4,8 +4,10 @@ covered vertex set, and fixed-length weak cycles."""
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,23 @@ def test_both_methods_on_triangle():
     assert d.answer == "yes"
     assert d.method == "backtracking-direct"
     assert validate(d.witness, Hs).ok
+
+
+def test_edges_given_as_lists_are_decided_and_hashable():
+    Hs = Hypergraph(3, 2, [[0, 1], [0, 2], [1, 2]])
+    assert exact_weak_hamiltonian(Hs).answer == "yes"
+    assert decide_weak_hamiltonian(Hs).answer == "yes"
+    assert hash(Hs) == hash(H(3, 2, [(0, 1), (0, 2), (1, 2)]))
+
+
+@pytest.mark.parametrize("method", ["dp", "backtracking-direct"])
+def test_numpy_vertices_give_plain_int_witnesses(method):
+    Hs = Hypergraph(5, 3, [tuple(map(np.int64, e)) for e in combinations(range(5), 3)])
+    v = exact_weak_hamiltonian(Hs, method=method)
+    assert json.loads(v.to_json())["answer"] == "yes"
+    C = v.witness
+    assert all(type(x) is int for x in C.vertices)
+    assert all(type(x) is int for e in C.edges for x in e)
 
 
 def test_isolated_vertex_certified_without_search():
