@@ -55,25 +55,19 @@ def _build_parser() -> _Parser:
         help="heuristic rotation budget (0 = default)",
     )
 
-    # flags stay strings: make_config parses them like config-file values
-    exp = sub.add_parser("exp", help="run an experiment to a CSV table")
+    exp = sub.add_parser(
+        "exp", help="run an experiment to a CSV table",
+        description="Run an experiment to a CSV table. The flags are the config "
+        "keys, with dashes for underscores; a flag overrides the --config file. "
+        "Grids are comma-separated: write --c-grid=-1,0,1 for negatives.",
+    )
     exp.add_argument("kind", choices=EXPERIMENTS)
     exp.add_argument("--config", default=None, metavar="FILE", help="key = value file")
-    exp.add_argument("--n", default=None)
-    exp.add_argument("--d", default=None)
-    exp.add_argument(
-        "--c-grid", default=None,
-        help="comma-separated c values; write --c-grid=-1,0,1 for negatives",
-    )
-    exp.add_argument("--trials", default=None)
-    exp.add_argument("--seed", default=None)
-    exp.add_argument("--workers", default=None)
-    exp.add_argument("--budget", default=None)
-    exp.add_argument("--oracle-cutoff", default=None)
-    exp.add_argument("--samples", default=None)
-    exp.add_argument("--a-grid", default=None, help="comma-separated a values (pab)")
-    exp.add_argument("--b-grid", default=None, help="comma-separated b values (pab)")
-    exp.add_argument("--p-grid", default=None, help="comma-separated p values (pab)")
+    # one flag per config field; flags stay strings, so make_config parses
+    # them like config-file values
+    for field in fields(ExperimentConfig):
+        if field.name != "experiment":
+            exp.add_argument("--" + field.name.replace("_", "-"), default=None)
     exp.add_argument("--out", default=None, metavar="FILE")
 
     plot = sub.add_parser("plot", help="render a threshold CSV to SVG")
@@ -125,7 +119,7 @@ def _cmd_exp(args) -> int:
     if args.config is not None:
         options.update(parse_config_text(_read_text(args.config)))
     for field in fields(ExperimentConfig):
-        value = getattr(args, field.name, None)
+        value = getattr(args, field.name, None)  # None: unset, or experiment
         if value is not None:
             options[field.name] = value
     out = options.pop("out", None)

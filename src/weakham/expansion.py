@@ -471,6 +471,9 @@ class GreedyProbeResult:
         return self.successes / self.trials if self.trials else 0.0
 
 
+_PROBE_ENUM_LIMIT = 2_000_000
+
+
 def _mixed_candidates(a: int, b: int, d: int) -> list[tuple[int, ...]]:
     """All d-sets inside A ∪ B = [0, a+b) that touch both blocks, in
     lexicographic order. A = [0, a), B = [a, a+b): each is k vertices of A
@@ -504,7 +507,8 @@ def greedy_probe(
     contains. As the module docstring shows, the walk succeeds exactly when
     every B-vertex lies in some present candidate, so that covering event
     is what is counted, on presence drawn as `gen.random((k, ncand)) < p`
-    for batches of k trials.
+    for batches of k trials. Raises CapabilityError, before enumerating,
+    above _PROBE_ENUM_LIMIT candidates.
     """
     if a < 1 or b < 1:
         raise InputError(f"need a, b >= 1, got a={a}, b={b}")
@@ -516,8 +520,13 @@ def greedy_probe(
         raise InputError(f"p must lie in [0, 1], got {p}")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
+    ncand = math.comb(a + b, d) - math.comb(a, d) - math.comb(b, d)
+    if ncand > _PROBE_ENUM_LIMIT:
+        raise CapabilityError(
+            f"greedy probe over {ncand} mixed {d}-sets of a={a}, b={b} exceeds "
+            f"the in-memory enumeration limit {_PROBE_ENUM_LIMIT}"
+        )
     cand = np.array(_mixed_candidates(a, b, d), dtype=np.int64)
-    ncand = len(cand)
     where, col = np.nonzero(cand >= a)
     bvert = cand[where, col] - a
     # members[j]: the candidates containing B-vertex a + j

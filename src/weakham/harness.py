@@ -37,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -146,6 +146,8 @@ class ExperimentConfig:
                 raise InputError(
                     f"process needs n >= d, got n={self.n}, d={self.d}"
                 )
+            if self.n < 3:
+                raise InputError(f"process needs n >= 3 for cycles, got {self.n}")
             if self.n > PROCESS_HEURISTIC_MAX_N:
                 raise CapabilityError(
                     f"process experiment handles n <= {PROCESS_HEURISTIC_MAX_N}, "
@@ -200,11 +202,8 @@ class ProcessRecord:
 
 # --- config parsing -----------------------------------------------------------
 
-_INT_KEYS = frozenset(
-    {"n", "d", "trials", "seed", "workers", "oracle_cutoff", "samples", "budget"}
-)
-_FLOAT_LIST_KEYS = frozenset({"c_grid", "p_grid"})
-_INT_LIST_KEYS = frozenset({"a_grid", "b_grid"})
+# the config keys and their types, read off the fields of ExperimentConfig
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -237,7 +236,8 @@ def _parse_scalar_list(val: str, convert: Callable) -> tuple:
 
 def make_config(experiment: str, options: Mapping[str, str]) -> ExperimentConfig:
     """Build a validated config from string options (config file and/or CLI
-    flags). budget <= 0 means 'use the search default'."""
+    flags), each parsed by the declared type of its ExperimentConfig field.
+    budget <= 0 means 'use the search default'."""
     kwargs: dict = {"experiment": experiment}
     for key, val in options.items():
         if key == "experiment":
@@ -246,19 +246,15 @@ def make_config(experiment: str, options: Mapping[str, str]) -> ExperimentConfig
                     f"config says experiment={val!r} but {experiment!r} was requested"
                 )
             continue
-        if key in _INT_KEYS:
+        hint = _FIELD_TYPES.get(key)
+        if hint in (tuple[float, ...], tuple[int, ...]):
+            kwargs[key] = _parse_scalar_list(val, hint.__args__[0])
+        elif hint in (int, int | None):
             try:
                 parsed = int(val)
             except ValueError as exc:
                 raise InputError(f"config key {key}: expected integer, got {val!r}") from exc
-            if key == "budget":
-                kwargs[key] = parsed if parsed > 0 else None
-            else:
-                kwargs[key] = parsed
-        elif key in _FLOAT_LIST_KEYS:
-            kwargs[key] = _parse_scalar_list(val, float)
-        elif key in _INT_LIST_KEYS:
-            kwargs[key] = _parse_scalar_list(val, int)
+            kwargs[key] = parsed if hint is int or parsed > 0 else None
         else:
             raise InputError(f"unknown config key {key!r}")
     return ExperimentConfig(**kwargs)
@@ -586,8 +582,6 @@ def _process_table(cfg: ExperimentConfig) -> Table:
     tau <= t_ham is asserted per row; the gap distribution is exploratory.
     Prefixes are decided by decide_weak_hamiltonian: exactly up to the
     oracle cutoff, above it by search witnesses only (t_ham an upper bound)."""
-    if cfg.n < 3:
-        raise InputError(f"process needs n >= 3 for cycles, got {cfg.n}")
     items = [(cfg, t) for t in range(cfg.trials)]
     rows = []
     for r in _map_tasks(_process_trial, items, cfg.workers):

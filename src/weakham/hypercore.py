@@ -30,6 +30,7 @@ the search's cut-vertex test walks the masks depth-first, in weakpaths.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -102,7 +103,14 @@ class Hypergraph:
         models H_d(n,p) / H_d(n,m) are simple, so a duplicate is a bug
         upstream, not something to smooth over.
         """
-        canon = sorted(tuple(sorted(e)) for e in edges)
+        edges = tuple(edges)
+        try:
+            canon = sorted(tuple(sorted(e)) for e in edges)
+        except TypeError:
+            for e in edges:
+                if not isinstance(e, Collection):
+                    raise _entry_error(e) from None
+            raise
         return Hypergraph(n=n, d=d, edges=tuple(canon))
 
     @staticmethod
@@ -156,22 +164,34 @@ class Hypergraph:
 
 def _edge_rows(n: int, d: int, edges) -> np.ndarray:
     """A copy of the edges as an (m, d) int64 array. Raises InputError for
-    an edge of the wrong arity, unless an earlier edge already breaks the
-    invariants, and for vertices that are not 64-bit integers."""
+    an edge of the wrong arity or an entry that is not a sequence, unless an
+    earlier edge already breaks the invariants, and for vertices that are
+    not 64-bit integers."""
     try:
         rows = np.array(edges) if len(edges) else np.empty((0, d), dtype=np.int64)
     except ValueError:  # edges of different arities
         rows = np.empty(0)
     if rows.shape[1:] != (d,):
-        good = next((i for i, e in enumerate(edges) if len(e) != d), None)
+        good = next(
+            (i for i, e in enumerate(edges) if not isinstance(e, Collection) or len(e) != d),
+            None,
+        )
         if good is None:  # d entries each, but not all of them integers
             raise InputError("edge vertices must be 64-bit integers")
         _check_rows(n, _edge_rows(n, d, edges[:good]))
         e = edges[good]
+        if not isinstance(e, Collection):
+            raise _entry_error(e)
         raise InputError(f"edge {e} has arity {len(e)}, expected {d}")
     if rows.dtype.kind not in "iu":
         raise InputError("edge vertices must be 64-bit integers")
     return rows.astype(np.int64, copy=False)
+
+
+def _entry_error(e) -> InputError:
+    """The error for an edge-list entry that is not a sequence, such as a
+    vertex of a flat list passed as the edges."""
+    return InputError(f"edge list entry {e!r} is not a sequence of vertices")
 
 
 def _check_rows(n: int, rows: np.ndarray) -> None:

@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
-from weakham import Hypergraph, dump_hypergraph, load_hypergraph, load_table
+from weakham import (ExperimentConfig, Hypergraph, dump_hypergraph, expansion,
+                     load_hypergraph, load_table)
 from weakham.cli import main
 
 
@@ -343,6 +346,36 @@ def test_exp_rejects_bad_config(tmp_path, capsys):
         f.write("nonsense line\n")
     assert run_cli("exp", "threshold", "--config", cfgfile, "--out", out) == 1
     capsys.readouterr()
+
+
+def test_exp_has_one_flag_per_config_field(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("exp", "--help")
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    keys = [f"--{f.name.replace('_', '-')}" for f in fields(ExperimentConfig)[1:]]
+    assert flags == ["--config", *keys, "--out"]
+
+
+def test_exp_process_bounds_exit_before_writing(tmp_path, capsys):
+    out = os.fspath(tmp_path / "p.csv")
+    assert run_cli("exp", "process", "--n", "2", "--d", "2", "--out", out) == 1
+    assert capsys.readouterr().err == "error: process needs n >= 3 for cycles, got 2\n"
+    assert run_cli("exp", "process", "--n", "61", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "capability error: process experiment handles n <= 60, got n = 61\n"
+    )
+    assert not os.path.exists(out)
+
+
+def test_exp_pab_beyond_the_probe_limit_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a = 4, b = 3, d = 3 has 30 mixed candidates
+    monkeypatch.setattr(expansion, "_PROBE_ENUM_LIMIT", 29)
+    out = os.fspath(tmp_path / "p.csv")
+    rc = run_cli("exp", "pab", "--a-grid", "4", "--b-grid", "3", "--p-grid", "0.5",
+                 "--trials", "2", "--out", out)
+    assert rc == 2
+    assert "exceeds the in-memory enumeration limit 29" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_exp_flags_are_parsed_by_make_config(tmp_path, capsys):

@@ -35,6 +35,7 @@ from weakham import (
     u_exact,
     u_sampled_check,
 )
+from weakham import expansion
 from weakham.expansion import (
     SampledCheck,
     _SAMPLE_CHUNK,
@@ -616,6 +617,20 @@ def test_greedy_probe_rejects_bad_parameters():
         greedy_probe(4, 3, 3, 1.5, trials=2, rng=SeededRng(0))
     with pytest.raises(InputError, match="need d >= 2"):
         greedy_probe(4, 3, 1, 0.5, trials=2, rng=SeededRng(0))
+
+
+def test_greedy_probe_refuses_too_many_candidates_before_enumerating(monkeypatch):
+    # a = 4, b = 3, d = 3: C(7, 3) - C(4, 3) - C(3, 3) = 30 mixed candidates
+    monkeypatch.setattr(expansion, "_PROBE_ENUM_LIMIT", 30)
+    assert greedy_probe(4, 3, 3, 1.0, trials=2, rng=SeededRng(0)).successes == 2
+    monkeypatch.setattr(expansion, "_PROBE_ENUM_LIMIT", 29)
+
+    def enumerate_nothing(a, b, d):
+        raise AssertionError("candidates enumerated above the limit")
+
+    monkeypatch.setattr(expansion, "_mixed_candidates", enumerate_nothing)
+    with pytest.raises(CapabilityError, match="30 mixed 3-sets of a=4, b=3 exceeds"):
+        greedy_probe(4, 3, 3, 1.0, trials=2, rng=SeededRng(0))
 
 
 @pytest.mark.parametrize("b", [63, 64, 70])

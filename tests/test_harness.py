@@ -9,11 +9,13 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
 from weakham import harness, oracle
 from weakham import (
+    CapabilityError,
     ExperimentConfig,
     Hypergraph,
     InputError,
@@ -105,6 +107,17 @@ def test_make_config_parses_types():
     assert cfg.c_grid == (-1.0, 0.0, 1.0)
     assert cfg.seed == 4
     assert cfg.workers == 2
+    # every field, set away from its default, comes back from its string form
+    every = ExperimentConfig(
+        "pab", n=7, d=4, c_grid=(-1.5, 2.0), trials=3, seed=8, workers=2, budget=9,
+        oracle_cutoff=12, samples=5, a_grid=(5, 9), b_grid=(2, 3), p_grid=(0.25, 0.5),
+    )
+    keys = fields(ExperimentConfig)[1:]
+    assert all(getattr(every, f.name) != f.default for f in keys)
+    options = {f.name: getattr(every, f.name) for f in keys}
+    options = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+               for k, v in options.items()}
+    assert make_config("pab", options) == every
 
 
 def test_make_config_budget_zero_means_default():
@@ -132,6 +145,16 @@ def test_make_config_rejections():
     for budget in (0, -5):
         with pytest.raises(InputError, match=f"budget must be >= 1 .*got {budget}"):
             ExperimentConfig("threshold", n=30, c_grid=(1.0,), budget=budget)
+
+
+def test_process_config_bounds():
+    # n >= 3 is checked with the config, not when the table runs
+    with pytest.raises(InputError, match="process needs n >= 3 for cycles, got 2"):
+        make_config("process", {"n": "2", "d": "2"})
+    assert harness.PROCESS_HEURISTIC_MAX_N == 60
+    assert make_config("process", {"n": "60"}).n == 60
+    with pytest.raises(CapabilityError, match="handles n <= 60, got n = 61"):
+        make_config("process", {"n": "61"})
 
 
 # --------------------------------------------------------------------- tables

@@ -506,6 +506,18 @@ def test_constructor_reports_the_first_bad_edge_in_list_order():
         Hypergraph(5, 3, (("0", "1", "2"),))
 
 
+def test_flat_edge_list_names_the_bad_entry():
+    # a flat list of vertices where a list of edges belongs
+    for build in (Hypergraph, Hypergraph.from_edges):
+        with pytest.raises(InputError, match="edge list entry 0 is not a sequence of vertices"):
+            build(5, 3, [0, 1, 2])
+    with pytest.raises(InputError, match="edge list entry 7 is not a sequence"):
+        Hypergraph.from_edges(5, 3, [(2, 1, 0), 7])
+    # the constructor still reports the first bad edge in list order
+    with pytest.raises(InputError, match=r"edge \(0, 1, 7\) has a vertex outside"):
+        Hypergraph(5, 3, ((0, 1, 7), 3))
+
+
 # ----------------------------------------------------------------- text format
 
 
