@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes: InputError -> 1, CapabilityError -> 2.
 """
 
+__all__ = ["InputError", "CapabilityError"]
+
 
 class InputError(ValueError):
     """Malformed or out-of-contract input (bad vertex id, bad file, bad flag)."""

@@ -53,7 +53,6 @@ __all__ = [
     "greedy_probe",
     "pab_bound_exact",
     "pab_bound_simple",
-    "U_EXACT_MAX_V1",
 ]
 
 U_EXACT_MAX_V1 = 22
@@ -474,6 +473,18 @@ class GreedyProbeResult:
 _PROBE_ENUM_LIMIT = 2_000_000
 
 
+def _probe_candidates(a: int, b: int, d: int) -> int:
+    """The number of mixed d-sets of blocks of sizes a and b, which never
+    decreases as b grows. Raises CapabilityError above _PROBE_ENUM_LIMIT."""
+    ncand = math.comb(a + b, d) - math.comb(a, d) - math.comb(b, d)
+    if ncand > _PROBE_ENUM_LIMIT:
+        raise CapabilityError(
+            f"greedy probe over {ncand} mixed {d}-sets of a={a}, b={b} exceeds "
+            f"the in-memory enumeration limit {_PROBE_ENUM_LIMIT}"
+        )
+    return ncand
+
+
 def _mixed_candidates(a: int, b: int, d: int) -> list[tuple[int, ...]]:
     """All d-sets inside A ∪ B = [0, a+b) that touch both blocks, in
     lexicographic order. A = [0, a), B = [a, a+b): each is k vertices of A
@@ -520,12 +531,7 @@ def greedy_probe(
         raise InputError(f"p must lie in [0, 1], got {p}")
     if trials < 0:
         raise InputError(f"trials must be >= 0, got {trials}")
-    ncand = math.comb(a + b, d) - math.comb(a, d) - math.comb(b, d)
-    if ncand > _PROBE_ENUM_LIMIT:
-        raise CapabilityError(
-            f"greedy probe over {ncand} mixed {d}-sets of a={a}, b={b} exceeds "
-            f"the in-memory enumeration limit {_PROBE_ENUM_LIMIT}"
-        )
+    ncand = _probe_candidates(a, b, d)
     cand = np.array(_mixed_candidates(a, b, d), dtype=np.int64)
     where, col = np.nonzero(cand >= a)
     bvert = cand[where, col] - a

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import CapabilityError, InputError
 from .expansion import (
+    _probe_candidates,
     greedy_probe,
     minimal_nonexpanding_connected,
     pab_bound_exact,
@@ -69,8 +70,6 @@ from .randmodels import (
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
-    "ProcessRecord",
     "Table",
     "parse_config_text",
     "make_config",
@@ -79,7 +78,6 @@ __all__ = [
     "estimate_mindeg_probability",
     "read_table",
     "load_table",
-    "Z95",
 ]
 
 Z95 = 1.959963984540054
@@ -90,8 +88,6 @@ CSV_MAGIC = "# weak-ham-lab v1"
 # must dwarf any conceivable trial count
 _SEARCH_LANE = 1 << 48
 PROCESS_HEURISTIC_MAX_N = 60
-
-EXPERIMENTS = ("threshold", "gnm", "poisson", "process", "expansion", "pab")
 
 _DEFAULT_P_GRID = (2.0**-10, 2.0**-9, 2.0**-8, 2.0**-7, 2.0**-6)
 
@@ -165,6 +161,10 @@ class ExperimentConfig:
             for p in self.p_grid:
                 if not (0.0 <= p <= 1.0):
                     raise InputError(f"p values must lie in [0, 1], got {p}")
+            # the largest b of each a has the most candidates; refuse the
+            # grid before any cell runs
+            for a in self.a_grid:
+                _probe_candidates(a, max(self.b_grid, default=2 * a), self.d)
 
 
 @dataclass
@@ -715,6 +715,8 @@ _RUNNERS = {
     "expansion": _expansion_table,
     "pab": _pab_table,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Table:

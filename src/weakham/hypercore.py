@@ -110,7 +110,7 @@ class Hypergraph:
             for e in edges:
                 if not isinstance(e, Collection):
                     raise _entry_error(e) from None
-            raise
+            raise InputError("edge vertices must be 64-bit integers") from None
         return Hypergraph(n=n, d=d, edges=tuple(canon))
 
     @staticmethod

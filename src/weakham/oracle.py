@@ -35,8 +35,6 @@ __all__ = [
     "exact_weak_hamiltonian",
     "has_weak_cycle_of_length",
     "weak_cycle_of_length",
-    "DP_MAX_VERTICES",
-    "DIRECT_MAX_VERTICES",
 ]
 
 DP_MAX_VERTICES = 20

@@ -45,20 +45,21 @@ def _py(v: float) -> float:
     return _T + (1.0 - v) * (_H - _T - _B)
 
 
-def _polyline(points: list[tuple[float, float]], color: str, dashed: bool = False) -> str:
+_DASH = ' stroke-dasharray="6 4"'
+
+
+def _polyline(points: list[tuple[float, float]], color: str, dash: str = "") -> str:
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    dash = ' stroke-dasharray="6 4"' if dashed else ""
     return (
         f'<polyline points="{pts}" fill="none" stroke="{color}" '
         f'stroke-width="1.8"{dash}/>'
     )
 
 
-def _band(
-    xs: list[float], los: list[float], his: list[float], color: str
-) -> str:
-    upper = [f"{_fmt(x)},{_fmt(_py(hi))}" for x, hi in zip(xs, his)]
-    lower = [f"{_fmt(x)},{_fmt(_py(lo))}" for x, lo in reversed(list(zip(xs, los)))]
+def _band(band: list[tuple[float, float, float]], color: str) -> str:
+    """The polygon between the hi and lo values of (x, lo, hi) points."""
+    upper = [f"{_fmt(x)},{_fmt(_py(hi))}" for x, _, hi in band]
+    lower = [f"{_fmt(x)},{_fmt(_py(lo))}" for x, lo, _ in reversed(band)]
     return (
         f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
         f'fill-opacity="0.15" stroke="none"/>'
@@ -69,6 +70,24 @@ def _markers(points: list[tuple[float, float]], color: str) -> str:
     return "".join(
         f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>'
         for x, y in points
+    )
+
+
+def _line(
+    x1: float, y1: float, x2: float, y2: float, color: str, width: str, dash: str = ""
+) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+        f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def _text(x: str, y: str, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    """A sans-serif label; x and y are written as given."""
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"'
+        f'{align} fill="{_COLOR_AXIS}"{extra}>{body}</text>'
     )
 
 
@@ -109,12 +128,10 @@ def render_threshold_svg(table: Table) -> str:
         vals = _floats(table, name)
         return [vals[i] for i in order]
 
-    mindeg = col("phat_mindeg")
-    lo_m = col("lo_mindeg")
-    hi_m = col("hi_mindeg")
-    ham = col("phat_ham")
-    lo_h = col("lo_ham")
-    hi_h = col("hi_ham")
+    series = [
+        (col(f"phat_{name}"), col(f"lo_{name}"), col(f"hi_{name}"), color)
+        for name, color in (("mindeg", _COLOR_MINDEG), ("ham", _COLOR_HAM))
+    ]
     theory = col("theory")
     n_label = table.column("n")[0]
     d_label = table.column("d")[0]
@@ -133,103 +150,54 @@ def render_threshold_svg(table: Table) -> str:
         f"weak Hamiltonicity vs isolated-vertex threshold "
         f"({table.kind}, n={n_label}, d={d_label}, {trials_label} trials/point)"
     )
-    parts.append(
-        f'<text x="{_fmt(_W / 2)}" y="24" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle" fill="{_COLOR_AXIS}">{title}</text>'
-    )
+    parts.append(_text(_fmt(_W / 2), "24", 14, title, "middle"))
     # gridlines + y ticks
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = _py(frac)
-        parts.append(
-            f'<line x1="{_fmt(_L)}" y1="{_fmt(y)}" x2="{_fmt(_W - _R)}" '
-            f'y2="{_fmt(y)}" stroke="{_COLOR_GRID}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_L - 8)}" y="{_fmt(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="{_COLOR_AXIS}">{_fmt_tick(frac)}</text>'
-        )
+        parts.append(_line(_L, y, _W - _R, y, _COLOR_GRID, "1"))
+        parts.append(_text(_fmt(_L - 8), _fmt(y + 4), 11, _fmt_tick(frac), "end"))
     # x ticks at data points
     for c, x in zip(cs, xs):
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_H - _B)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(_H - _B + 5)}" stroke="{_COLOR_AXIS}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_H - _B + 18)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle" fill="{_COLOR_AXIS}">{_fmt_tick(c)}</text>'
-        )
+        parts.append(_line(x, _H - _B, x, _H - _B + 5, _COLOR_AXIS, "1"))
+        parts.append(_text(_fmt(x), _fmt(_H - _B + 18), 11, _fmt_tick(c), "middle"))
     # axes
+    parts.append(_line(_L, _T, _L, _H - _B, _COLOR_AXIS, "1.2"))
+    parts.append(_line(_L, _H - _B, _W - _R, _H - _B, _COLOR_AXIS, "1.2"))
+    parts.append(_text(_fmt((_L + _W - _R) / 2), _fmt(_H - 16), 12, "c", "middle"))
+    ymid = _fmt((_T + _H - _B) / 2)
     parts.append(
-        f'<line x1="{_fmt(_L)}" y1="{_fmt(_T)}" x2="{_fmt(_L)}" '
-        f'y2="{_fmt(_H - _B)}" stroke="{_COLOR_AXIS}" stroke-width="1.2"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(_L)}" y1="{_fmt(_H - _B)}" x2="{_fmt(_W - _R)}" '
-        f'y2="{_fmt(_H - _B)}" stroke="{_COLOR_AXIS}" stroke-width="1.2"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt((_L + _W - _R) / 2)}" y="{_fmt(_H - 16)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle" '
-        f'fill="{_COLOR_AXIS}">c</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_fmt((_T + _H - _B) / 2)}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" fill="{_COLOR_AXIS}" '
-        f'transform="rotate(-90 18 {_fmt((_T + _H - _B) / 2)})">probability</text>'
+        _text("18", ymid, 12, "probability", "middle", f' transform="rotate(-90 18 {ymid})"')
     )
 
-    # bands first (underneath), then curves, then markers
-    band_m = [
-        (x, lo, hi)
-        for x, lo, hi in zip(xs, lo_m, hi_m)
-        if lo is not None and hi is not None
-    ]
-    if len(band_m) >= 2:
-        parts.append(
-            _band([x for x, _, _ in band_m], [lo for _, lo, _ in band_m],
-                  [hi for _, _, hi in band_m], _COLOR_MINDEG)
-        )
-    band_h = [
-        (x, lo, hi)
-        for x, lo, hi in zip(xs, lo_h, hi_h)
-        if lo is not None and hi is not None
-    ]
-    if len(band_h) >= 2:
-        parts.append(
-            _band([x for x, _, _ in band_h], [lo for _, lo, _ in band_h],
-                  [hi for _, _, hi in band_h], _COLOR_HAM)
-        )
-    theory_pts = [
-        (x, _py(v)) for x, v in zip(xs, theory) if v is not None
-    ]
+    # bands first (underneath), then the limit and the two curves, then markers
+    theory_pts = [(x, _py(v)) for x, v in zip(xs, theory) if v is not None]
+    bands, curves, markers = [], [], []
     if len(theory_pts) >= 2:
-        parts.append(_polyline(theory_pts, _COLOR_THEORY, dashed=True))
-    mindeg_pts = [(x, _py(v)) for x, v in zip(xs, mindeg) if v is not None]
-    if len(mindeg_pts) >= 2:
-        parts.append(_polyline(mindeg_pts, _COLOR_MINDEG))
-    ham_pts = [(x, _py(v)) for x, v in zip(xs, ham) if v is not None]
-    if len(ham_pts) >= 2:
-        parts.append(_polyline(ham_pts, _COLOR_HAM))
-    parts.append(_markers(mindeg_pts, _COLOR_MINDEG))
-    parts.append(_markers(ham_pts, _COLOR_HAM))
+        curves.append(_polyline(theory_pts, _COLOR_THEORY, _DASH))
+    for phat, los, his, color in series:
+        band = [
+            (x, lo, hi)
+            for x, lo, hi in zip(xs, los, his)
+            if lo is not None and hi is not None
+        ]
+        if len(band) >= 2:
+            bands.append(_band(band, color))
+        pts = [(x, _py(v)) for x, v in zip(xs, phat) if v is not None]
+        if len(pts) >= 2:
+            curves.append(_polyline(pts, color))
+        markers.append(_markers(pts, color))
+    parts += bands + curves + markers
 
     # legend
     legend = [
-        ("P(min degree >= 1)", _COLOR_MINDEG, False),
-        ("P(weak Hamiltonian), decided", _COLOR_HAM, False),
-        ("limit exp(-exp(-c))", _COLOR_THEORY, True),
+        ("P(min degree >= 1)", _COLOR_MINDEG, ""),
+        ("P(weak Hamiltonian), decided", _COLOR_HAM, ""),
+        ("limit exp(-exp(-c))", _COLOR_THEORY, _DASH),
     ]
     ly = _T + 14
-    for label, color, dashed in legend:
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        parts.append(
-            f'<line x1="{_fmt(_L + 10)}" y1="{_fmt(ly)}" x2="{_fmt(_L + 38)}" '
-            f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="1.8"{dash}/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_L + 44)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
-            f'font-size="11" fill="{_COLOR_AXIS}">{label}</text>'
-        )
+    for label, color, dash in legend:
+        parts.append(_line(_L + 10, ly, _L + 38, ly, color, "1.8", dash))
+        parts.append(_text(_fmt(_L + 44), _fmt(ly + 4), 11, label))
         ly += 16
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

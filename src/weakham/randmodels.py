@@ -38,6 +38,7 @@ __all__ = [
     "limiting_probability",
     "sample_gnp",
     "sample_gnm",
+    "sampled_covered_vertices",
     "edge_process",
 ]
 

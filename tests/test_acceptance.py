@@ -225,6 +225,21 @@ def test_criterion_05_threshold_tracks_min_degree(capsys, threshold_table):
             f"{dt:.0f}s")
 
 
+def test_criterion_05_control_bound_fails_below_the_cycle_threshold():
+    # negative control: at d = 2 the window of the isolated-vertex threshold
+    # lies below the Hamilton-cycle threshold, so the |ham - mindeg| bound of
+    # criterion 05 must fail there; a bound that held here would show nothing
+    cfg = make_config(
+        "threshold",
+        {"n": "300", "d": "2", "c_grid": "-1,0,1,2", "trials": "100", "seed": "7"},
+    )
+    rows = {c: (ph, pm, unk) for c, ph, pm, unk in _cols(
+        run_experiment(cfg), "c", "phat_ham", "phat_mindeg", "unknown_rate")}
+    ph, pm, unk = rows[0.0]
+    assert unk == 0.0
+    assert ph - pm < -0.2
+
+
 def test_criterion_06_gnm_matches_gnp(capsys, threshold_table, gnm_table):
     gnp_tab, _ = threshold_table
     worst = 0.0

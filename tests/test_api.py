@@ -1,5 +1,6 @@
 """Public surface: every exported name resolves, in the package and in each
-submodule, and star-imports succeed."""
+submodule, and star-imports succeed; the package exports exactly the
+submodules' `__all__` lists."""
 
 from __future__ import annotations
 
@@ -25,3 +26,27 @@ def test_all_names_resolve_and_star_import(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+# the submodules the package re-exports, in the order of weakham.__all__
+PACKAGE_MODULES = [
+    importlib.import_module(f"weakham.{m}")
+    for m in ("errors", "hypercore", "randmodels", "weakpaths", "oracle", "expansion",
+              "harness", "plotting")
+]
+
+
+def test_package_all_is_the_module_lists():
+    want = ["__version__", *(n for mod in PACKAGE_MODULES for n in mod.__all__)]
+    assert weakham.__all__ == want
+    assert len(set(want)) == len(want)
+    for mod in PACKAGE_MODULES:
+        for name in mod.__all__:
+            assert getattr(weakham, name) is getattr(mod, name), name
+
+
+def test_exported_names_are_in_their_module_all():
+    # a name the package exports is public in the module that defines it
+    for name in weakham.__all__[1:]:
+        home = importlib.import_module(getattr(weakham, name).__module__)
+        assert name in home.__all__, f"{name} missing from {home.__name__}.__all__"

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from weakham import (ExperimentConfig, Hypergraph, dump_hypergraph, expansion,
+from weakham import (ExperimentConfig, Hypergraph, dump_hypergraph, expansion, harness,
                      load_hypergraph, load_table)
 from weakham.cli import main
 
@@ -375,6 +375,22 @@ def test_exp_pab_beyond_the_probe_limit_is_exit_2(tmp_path, capsys, monkeypatch)
                  "--trials", "2", "--out", out)
     assert rc == 2
     assert "exceeds the in-memory enumeration limit 29" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_exp_pab_grid_beyond_the_probe_limit_runs_no_cell(tmp_path, capsys, monkeypatch):
+    def run_nothing(*args):
+        raise AssertionError("a pab cell ran before the grid was refused")
+
+    monkeypatch.setattr(harness, "_map_tasks", run_nothing)
+    out = os.fspath(tmp_path / "p.csv")
+    rc = run_cli("exp", "pab", "--a-grid", "300", "--trials", "1", "--p-grid", "0.001",
+                 "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "capability error: greedy probe over 80820000 mixed 3-sets of a=300, b=600 "
+        "exceeds the in-memory enumeration limit 2000000\n"
+    )
     assert not os.path.exists(out)
 
 

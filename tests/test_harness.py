@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import pytest
 
-from weakham import harness, oracle
+from weakham import expansion, harness, oracle
 from weakham import (
     CapabilityError,
     ExperimentConfig,
@@ -155,6 +155,18 @@ def test_process_config_bounds():
     assert make_config("process", {"n": "60"}).n == 60
     with pytest.raises(CapabilityError, match="handles n <= 60, got n = 61"):
         make_config("process", {"n": "61"})
+
+
+def test_pab_config_refuses_a_grid_beyond_the_probe_limit(monkeypatch):
+    # b = 1..600 for a = 300: the grid is refused at its largest b, before
+    # any cell runs, not at b = 40 after the 39 cells below it
+    with pytest.raises(CapabilityError, match="mixed 3-sets of a=300, b=600 exceeds"):
+        make_config("pab", {"a_grid": "300", "trials": "1", "p_grid": "0.001"})
+    # a = 4, b = 3, d = 3 has 30 mixed candidates, b = 1 has 6
+    monkeypatch.setattr(expansion, "_PROBE_ENUM_LIMIT", 29)
+    with pytest.raises(CapabilityError, match="30 mixed 3-sets of a=4, b=3 exceeds"):
+        make_config("pab", {"a_grid": "4", "b_grid": "1,3", "p_grid": "0.5"})
+    assert make_config("pab", {"a_grid": "4", "b_grid": "1,2", "p_grid": "0.5"}).b_grid == (1, 2)
 
 
 # --------------------------------------------------------------------- tables

@@ -506,6 +506,13 @@ def test_constructor_reports_the_first_bad_edge_in_list_order():
         Hypergraph(5, 3, (("0", "1", "2"),))
 
 
+def test_from_edges_refuses_unorderable_vertices_like_the_constructor():
+    # sorting (0, 1, "a") fails before the constructor sees the edge
+    for build in (Hypergraph, Hypergraph.from_edges):
+        with pytest.raises(InputError, match="edge vertices must be 64-bit integers"):
+            build(5, 3, [(0, 1, "a")])
+
+
 def test_flat_edge_list_names_the_bad_entry():
     # a flat list of vertices where a list of edges belongs
     for build in (Hypergraph, Hypergraph.from_edges):
