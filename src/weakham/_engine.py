@@ -27,8 +27,15 @@ per-rotation work is numpy's: a rotation is one copy with its tail reversed,
 and a closure scan fills the positions of each dequeued path with one fancy
 assignment into a position array of its own (no buffer is shared between
 scans). Growth draws its candidates from `adj_masks[w] & free`, with the free
-bitmask kept up to date as vertices join. `search` converts only what it
-returns to lists.
+bitmask kept up to date as vertices join: the draw is sized by the mask's
+popcount, and the candidate it names is found by walking `adj[w]`, so
+candidates count in adjacency order. `search` converts only what it returns
+to lists.
+
+The draws (starts and growth steps) are numpy's `Generator.integers`,
+replayed from raw PCG64 words by `randmodels._bounded_draws`, the one model
+of numpy's bounded draws that the expansion replay uses too: the same
+stream at about a fifth of the cost of a Generator call.
 
 Every structural step preserves the invariant "path vertices distinct,
 consecutive vertices adjacent", so results need no post-hoc repair.
@@ -39,6 +46,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from .randmodels import _bounded_draws
 
 __all__ = ["ClosureResult", "closure_scan", "search"]
 
@@ -53,19 +62,26 @@ class ClosureResult:
         self.rotations = rotations
 
 
-def _grow(adj, adj_masks, w, free, gen):
+def _grow(adj, adj_masks, w, free, draw):
     """Greedy extension from the end vertex `w` into the `free` bitmask:
-    a lone candidate is taken without a draw, several are listed in
-    adjacency order and one is drawn. Returns the grown vertices and what
-    is left of `free`."""
+    a lone candidate is taken without a draw; among several, r is drawn in
+    [0, popcount) of the candidate mask and the walk along `adj[w]` takes
+    the r-th candidate in adjacency order (not vertex order). `draw` is the
+    search's `randmodels._bounded_draws`, reading raw PCG64 words. Returns
+    the grown vertices and what is left of `free`."""
     grown = []
     while True:
         cands = adj_masks[w] & free
         if not cands:
             return grown, free
         if cands & (cands - 1):
-            listed = [x for x in adj[w] if (cands >> x) & 1]
-            w = listed[int(gen.integers(len(listed)))]
+            r = draw(cands.bit_count())
+            for x in adj[w]:
+                if (cands >> x) & 1:
+                    if not r:
+                        break
+                    r -= 1
+            w = x
         else:
             w = cands.bit_length() - 1
         grown.append(w)
@@ -144,6 +160,13 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     """Rotation-extension search over the vertices of `target`: up to
     `attempts` random starts under one allowance of `max_rotations`.
 
+    `gen` is the search's own generator: a PCG64 with no pending half word
+    (InputError otherwise), as a fresh `default_rng` or
+    `SeededRng.generator()` is. Every draw, a start or a growth step, is
+    the one `Generator.integers` would make there, but it is read from raw
+    words a block at a time, so `gen` is left ahead of numpy's state and is
+    spent: callers make one for the search and drop it.
+
     Each attempt grows a path and, at every dead end, scans its rotation
     closure (start fixed), resuming growth from the first endpoint that can
     extend. At a stall, the reversed representative of each closure endpoint
@@ -167,6 +190,7 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     allowance ran out before the search had its answer: a spanning cycle
     with `close`, a stalled path without.
     """
+    draw = _bounded_draws(gen)
     t_list = sorted(target)
     target_mask = 0
     for v in t_list:
@@ -179,8 +203,8 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
             out_of_budget = True
             break
         restarts = attempt
-        start = t_list[int(gen.integers(len(t_list)))]
-        grown, free = _grow(adj, adj_masks, start, target_mask ^ 1 << start, gen)
+        start = t_list[draw(len(t_list))]
+        grown, free = _grow(adj, adj_masks, start, target_mask ^ 1 << start, draw)
         path = np.array([start, *grown], dtype=np.intp)
         pending = stalled = None
         while True:
@@ -217,7 +241,7 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
                 x = next(x for x in adj[path.item(idx)] if (free >> x) & 1)
                 path = np.concatenate((path[idx + 1 :], path[: idx + 1], (x,)))
             w = path.item(-1)
-            grown, free = _grow(adj, adj_masks, w, free ^ 1 << w, gen)
+            grown, free = _grow(adj, adj_masks, w, free ^ 1 << w, draw)
             if grown:
                 path = np.concatenate((path, grown))
             pending = None

@@ -40,7 +40,7 @@ from .hypercore import (
     neighbors,
     non_isolated_vertices,
 )
-from .randmodels import SeededRng
+from .randmodels import SeededRng, _bounded, _uint32_words
 
 __all__ = [
     "ExpansionReport",
@@ -187,15 +187,6 @@ def _first_hit(words: np.ndarray, pool, s: int) -> tuple[int, tuple[int, ...] | 
             return math.comb(k, s) - after, tuple(pool[c].tolist())
 
 
-def _bounded(words: np.ndarray, ex) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's draw in [0, ex) from each 32-bit word (uint64 arrays, ex >= 1),
-    as numpy's bounded integers take it, and whether numpy rejects the word
-    and draws again: the product's low half lies below (2**32 - ex) % ex.
-    An ex of 1 gives 0 and never rejects."""
-    m = words * ex
-    return m >> 32, (m & 0xFFFFFFFF) < (2**32 - ex) % ex
-
-
 def _floyd_draws(words, st, s, k: int, max_size: int):
     """numpy's Floyd branch of `choice(k, s, replace=False)` for rounds whose
     words start at st: step t draws v in [0, j], j = k - s + t (no word for
@@ -269,10 +260,10 @@ def _replay_draws(gen: np.random.Generator, k: int, max_size: int, count: int):
     `gen.choice(k, s, replace=False)`, computed from one block of raw PCG64
     words instead of 2 * count Generator calls.
 
-    numpy takes every draw of a round from PCG64's `next_uint32` stream:
-    each 64-bit output's low half, then its high half, a pending half first.
-    The size is one Lemire draw (none when max_size is 1), then come the
-    choice's draws (`_floyd_draws`, `_tail_draws`). A size draw at every
+    numpy takes every draw of a round from PCG64's `next_uint32` stream
+    (`randmodels._uint32_words`), a pending half first. The size is one
+    Lemire draw (`randmodels._bounded`; none when max_size is 1), then come
+    the choice's draws (`_floyd_draws`, `_tail_draws`). A size draw at every
     word gives the words each round would take from there, and a loop over
     the rounds follows the chain of their starts. A word that a Lemire draw
     rejects is deleted from the stream, and the rounds are recomputed from
@@ -300,8 +291,7 @@ def _replay_draws(gen: np.random.Generator, k: int, max_size: int, count: int):
         if words.size < need:
             block = bg.random_raw((need - words.size + 1) // 2)
             raw = np.concatenate([raw, block])
-            halves = block.astype("<u8", copy=False).view("<u4")  # low, high
-            words = np.concatenate([words, halves.astype(np.uint64)])
+            words = np.concatenate([words, _uint32_words(block).astype(np.uint64)])
         size_at, size_rej = _bounded(words, max_size)
         size_at = size_at.astype(np.int64) + 1
         tail = (k > _TAIL_POOL) & (size_at > k // _TAIL_SHARE)

@@ -146,6 +146,61 @@ def limiting_probability(c: float) -> float:
     return math.exp(-math.exp(-c))
 
 
+# --- numpy's bounded draws from raw PCG64 words ------------------------------
+#
+# numpy takes the draws of `Generator.integers(k)` (1 <= k <= 2**32) from
+# PCG64's `next_uint32` stream: each 64-bit output's low half, then its high
+# half. k = 1 gives 0 without a word; otherwise the draw is Lemire's
+# `_bounded` of the next word, and a word it rejects is dropped for the next.
+# The expansion replay and the rotation engine both read the stream here.
+
+
+def _uint32_words(block: np.ndarray) -> np.ndarray:
+    """The `next_uint32` words of a `random_raw` block, in stream order, as
+    a uint32 array: each output's low half, then its high half."""
+    return block.astype("<u8", copy=False).view("<u4")
+
+
+def _bounded(words, ex):
+    """Lemire's draw in [0, ex) from 32-bit words (Python ints, or uint64
+    arrays elementwise; ex >= 1), as numpy's bounded integers take it, and
+    whether numpy rejects the word and draws again: the product's low half
+    lies below (2**32 - ex) % ex. An ex of 1 gives 0 and never rejects."""
+    m = words * ex
+    return m >> 32, (m & 0xFFFFFFFF) < (2**32 - ex) % ex
+
+
+# raw outputs read at a time: 128 words, a few µs to read, so a search on a
+# few dozen vertices wastes little and one at n=1000 reads about 8 blocks
+_DRAW_BLOCK = 64
+
+
+def _bounded_draws(gen: np.random.Generator):
+    """`draw(k)`, which returns what `gen.integers(k)` would (1 <= k <= 2**32),
+    one call after another, from raw words that it reads in blocks.
+
+    The generator must be a PCG64 with no pending half word, and it is
+    spent: it runs ahead of numpy by up to one block, so nothing else may
+    draw from it once `draw` is in use."""
+    bg = gen.bit_generator
+    if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
+        raise InputError("bounded draws need a PCG64 generator with no pending half word")
+    words = iter(())
+
+    def draw(k: int) -> int:
+        nonlocal words
+        if k == 1:
+            return 0
+        while True:
+            for w in words:
+                v, rejected = _bounded(w, k)
+                if not rejected:
+                    return v
+            words = iter(_uint32_words(bg.random_raw(_DRAW_BLOCK)).tolist())
+
+    return draw
+
+
 # --- distinct d-set sampling core --------------------------------------------
 
 _DENSE_ENUM_LIMIT = 200_000

@@ -58,6 +58,17 @@ __all__ = [
 ]
 
 
+def _store_as_tuples(obj) -> None:
+    """Keep a weak path's or cycle's vertices and edges as tuples, whatever
+    sequences they were given as, so they hash, compare and serialize alike."""
+    try:
+        edges = tuple(map(tuple, obj.edges))
+    except TypeError as exc:
+        raise InputError(f"edges must be sequences of vertices: {exc}") from exc
+    object.__setattr__(obj, "vertices", tuple(obj.vertices))
+    object.__setattr__(obj, "edges", edges)
+
+
 @dataclass(frozen=True)
 class WeakPath:
     """Alternating sequence v0, e1, v1, ..., eh, vh with distinct vertices.
@@ -71,6 +82,7 @@ class WeakPath:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _store_as_tuples(self)
         if len(self.vertices) == 0:
             raise InputError("a weak path needs at least one vertex")
         if len(self.edges) != len(self.vertices) - 1:
@@ -108,6 +120,7 @@ class WeakCycle:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _store_as_tuples(self)
         if len(self.vertices) < 3:
             raise InputError("cycle too short: need at least 3 vertices")
         if len(self.edges) != len(self.vertices):
@@ -193,7 +206,6 @@ def rotate(P: WeakPath, e: tuple[int, ...], i: int) -> WeakPath:
         raise InputError(f"rotation edge {e} does not contain the endpoint {vh}")
     if vi not in e:
         raise InputError(f"rotation edge {e} does not contain the pivot vertex {vi}")
-    e = tuple(e)
     new_vertices = P.vertices[: i + 1] + P.vertices[:i:-1]
     # edges after the pivot: e_h, e_{h-1}, ..., e_{i+2}  (stored indices h-1 .. i+1)
     new_edges = P.edges[:i] + (e,) + P.edges[h - 1 : i : -1]
@@ -657,11 +669,11 @@ def weak_from_json(text: str) -> WeakPath | WeakCycle:
         raise InputError("vertex entries must be integers")
     if not all(type(e) is list and all(type(v) is int for v in e) for e in seq[1::2]):
         raise InputError("edge entries must be lists of integers")
-    edges = [tuple(e) for e in seq[1::2]]
+    edges = seq[1::2]
     if kind == "path":
-        return WeakPath(tuple(vertices), tuple(edges))
+        return WeakPath(vertices, edges)
     if kind == "cycle":
         if len(vertices) < 2 or vertices[-1] != vertices[0]:
             raise InputError("cycle sequence must end at its starting vertex")
-        return WeakCycle(tuple(vertices[:-1]), tuple(edges))
+        return WeakCycle(vertices[:-1], edges)
     raise InputError(f"unknown kind {kind!r}")

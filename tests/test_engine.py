@@ -3,8 +3,10 @@ independent breadth-first walk over rotations, and the one search driver in
 both modes (cycles sought or not): path invariants of every returned path,
 saturation of stalled paths, rotation budgets, restart counts, the far-side
 stall escape, and seed determinism. The array engine is also compared, result
-for result, with a list-based copy of the engine it replaced, and pinned on
-four G(n, p) instances at n = 1000."""
+for result, with a list-based copy of the engine it replaced, which draws
+through `Generator.integers`, and pinned on four G(n, p) instances at
+n = 1000, one at n = 10^4 and one stalled path. The engine's draws from raw
+PCG64 words are compared with `Generator.integers` directly."""
 
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakham import rotation_extension_search
+from weakham import InputError, rotation_extension_search, stalled_path
 from weakham._engine import closure_scan, search
-from weakham.randmodels import GnpParams, SeededRng, p_from_c, sample_gnp
+from weakham.randmodels import GnpParams, SeededRng, _bounded_draws, p_from_c, sample_gnp
 
 
 def _graph(n, pairs):
@@ -404,3 +406,43 @@ def test_search_is_pinned_at_n1000(c, seed, rotations, restarts, digest):
     out = rotation_extension_search(H, rng=SeededRng(seed, 1))
     assert (out.rotations, out.restarts) == (rotations, restarts)
     assert _cycle_digest(out.cycle.vertices) == digest
+
+
+def test_search_is_pinned_at_n10000():
+    # recorded before the engine read raw PCG64 words, on the Generator calls
+    H = sample_gnp(GnpParams(10**4, 3, p_from_c(10**4, 3, 1)), SeededRng(1, 0))
+    out = rotation_extension_search(H, rng=SeededRng(1, 1))
+    assert (out.rotations, out.restarts) == (7280, 0)
+    assert _cycle_digest(out.cycle.vertices) == (
+        "0a04386e739fbe96f809fc6aaf9476d8e70cff3d619454d6fb9bfaa820858cbf")
+
+
+def test_stalled_path_is_pinned():
+    # the search without `close`, which no gold file pins; recorded as above
+    H = sample_gnp(GnpParams(200, 3, p_from_c(200, 3, 0)), SeededRng(4, 0))
+    P = stalled_path(H, rng=SeededRng(4, 1))
+    assert len(P.vertices) == 196
+    assert _cycle_digest(P.vertices) == (
+        "3edeaeb0d96458972d1a53be9d1241bcb9cc93d2553bafa6f350d07f960acf2d")
+
+
+def test_engine_draws_match_generator_integers():
+    # k = 1 takes no word, 2**31 + 1 rejects about half its words, and 2**32
+    # is numpy's plain next_uint32 branch; the draws run through many of
+    # the helper's blocks of raw words
+    ks = [1, 2, 3, 1000, 2**31 + 1, 2**32 - 1, 2**32]
+    mixed = np.random.default_rng(99).permutation(np.repeat(ks, 300)).tolist()
+    for seed in range(3):
+        draw = _bounded_draws(np.random.default_rng(seed))
+        gen = np.random.default_rng(seed)
+        assert [draw(k) for k in mixed] == [int(gen.integers(k)) for k in mixed]
+
+
+def test_engine_draws_refuse_a_pending_half_word():
+    gen = np.random.default_rng(0)
+    gen.integers(2**31)  # takes a low half; the high half is left pending
+    with pytest.raises(InputError, match="pending half"):
+        _bounded_draws(gen)
+    with pytest.raises(InputError, match="PCG64"):
+        search(*_graph(3, [(0, 1), (1, 2)]), range(3),
+               np.random.Generator(np.random.MT19937(0)), 10, 1, close=False)

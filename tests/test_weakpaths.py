@@ -99,6 +99,22 @@ def test_weak_cycle_rejects_wrong_edge_count():
         WeakCycle((0, 1, 2), ((0, 1, 2), (0, 1, 2)))
 
 
+def test_weak_objects_store_lists_as_tuples():
+    # lists used to be kept as given: they failed to hash, validate or
+    # compare equal to their own JSON round trip
+    Hl = H(5, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (2, 3, 4), (0, 3, 4)])
+    P = WeakPath([0, 1], [[0, 1, 2]])
+    assert P == WeakPath((0, 1), ((0, 1, 2),)) and P.vertices == (0, 1)
+    assert hash(P) == hash(WeakPath((0, 1), ((0, 1, 2),)))
+    assert validate(WeakPath((0, 1), ([0, 1, 2],)), Hl).ok
+    assert weak_from_json(weak_to_json(P)) == P
+    C = WeakCycle([0, 1, 2], [[0, 1, 2]] * 3)
+    assert C.edges == ((0, 1, 2),) * 3 and not C.has_distinct_edges
+    assert validate(C, Hl).ok and weak_from_json(weak_to_json(C)) == C
+    with pytest.raises(InputError, match="edges must be sequences"):
+        WeakPath((0, 1), (5,))
+
+
 # ----------------------------------------------------------------- validation
 
 
