@@ -13,8 +13,7 @@ trial reads what it needs from the config it is handed.
 Determinism contract: every trial is keyed by (master seed, stream) and is
 computed independently, workers merge results by trial order, and floats are
 serialized with repr(), so a config + seed pair yields byte-identical CSV
-regardless of worker count. Timings are kept on in-memory records only —
-never in tables.
+regardless of worker count.
 
 Verdict policy: threshold and process trials are decided by
 oracle.decide_weak_hamiltonian at the config's oracle_cutoff. A "no" is
@@ -34,7 +33,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable, Mapping, Sequence, get_type_hints
@@ -165,39 +163,6 @@ class ExperimentConfig:
             # grid before any cell runs
             for a in self.a_grid:
                 _probe_candidates(a, max(self.b_grid, default=2 * a), self.d)
-
-
-@dataclass
-class TrialRecord:
-    """One threshold-style trial. weak_ham is "yes" (validated witness),
-    "no" (certified), or "unknown" (heuristic gave up above the oracle
-    cutoff). elapsed stays off the CSV so tables are run-invariant."""
-
-    trial: int
-    n: int
-    d: int
-    c: float
-    isolated_count: int
-    min_degree_ok: bool
-    weak_ham: str
-    budget_exhausted: bool
-    elapsed: float
-
-
-@dataclass
-class ProcessRecord:
-    """One edge-process trial: tau = first edge count with no isolated
-    vertex, t_ham = first edge count with a weak Hamilton cycle."""
-
-    trial: int
-    n: int
-    d: int
-    tau: int
-    t_ham: int
-
-    @property
-    def equal(self) -> bool:
-        return self.tau == self.t_ham
 
 
 # --- config parsing -----------------------------------------------------------
@@ -388,32 +353,21 @@ def _grid_map(
 # --- threshold experiments ------------------------------------------------------
 
 
-def _threshold_trial(args) -> TrialRecord:
-    cfg, c, x, trial, stream = args
-    t0 = time.perf_counter()
+def _threshold_trial(args) -> tuple[bool, str]:
+    """(min degree >= 1, verdict) of one sampled graph, the verdict "yes",
+    "no" or "unknown" as decide_weak_hamiltonian answers it."""
+    cfg, _, x, _, stream = args
     rng = SeededRng(cfg.seed, stream)
     if cfg.experiment == "threshold":
         H = sample_gnp(GnpParams(cfg.n, cfg.d, x), rng)
     else:
         H = sample_gnm(GnmParams(cfg.n, cfg.d, x), rng)
-    iso = len(isolated_vertices(H))
-    mindeg_ok = iso == 0
+    mindeg_ok = not isolated_vertices(H)
     verdict = decide_weak_hamiltonian(
         H, budget=cfg.budget, rng=rng.shifted(_SEARCH_LANE), oracle_cutoff=cfg.oracle_cutoff
     )
-    ham = verdict.answer
-    assert not (ham == "yes" and not mindeg_ok)
-    return TrialRecord(
-        trial=trial,
-        n=cfg.n,
-        d=cfg.d,
-        c=c,
-        isolated_count=iso,
-        min_degree_ok=mindeg_ok,
-        weak_ham=ham,
-        budget_exhausted=verdict.search is not None and verdict.search.exhausted,
-        elapsed=time.perf_counter() - t0,
-    )
+    assert not (verdict.yes and not mindeg_ok)
+    return mindeg_ok, verdict.answer
 
 
 _THRESHOLD_COLUMNS = (
@@ -433,11 +387,10 @@ def _threshold_table(cfg: ExperimentConfig) -> Table:
     "threshold", or under G(n,m) at m = m_from_c for "gnm"."""
     gnp = cfg.experiment == "threshold"
     rows = []
-    for c, x, recs in _grid_map(cfg, _threshold_trial, p_from_c if gnp else m_from_c):
-        mindeg_yes = sum(1 for r in recs if r.min_degree_ok)
-        yes = sum(1 for r in recs if r.weak_ham == "yes")
-        no = sum(1 for r in recs if r.weak_ham == "no")
-        unknown = sum(1 for r in recs if r.weak_ham == "unknown")
+    for c, x, results in _grid_map(cfg, _threshold_trial, p_from_c if gnp else m_from_c):
+        mindeg_yes = sum(ok for ok, _ in results)
+        answers = [answer for _, answer in results]
+        yes, no, unknown = (answers.count(a) for a in ("yes", "no", "unknown"))
         assert yes + no + unknown == cfg.trials
         lo_m, hi_m = wilson_interval(mindeg_yes, cfg.trials)
         decided = yes + no
@@ -550,7 +503,9 @@ def _poisson_table(cfg: ExperimentConfig) -> Table:
 # --- edge process ----------------------------------------------------------------
 
 
-def _process_trial(args) -> ProcessRecord:
+def _process_trial(args) -> tuple[int, int]:
+    """(tau, t_ham) of one edge process: the first edge count with no
+    isolated vertex and the first with a weak Hamilton cycle."""
     cfg, trial = args
     n, d = cfg.n, cfg.d
     rng = SeededRng(cfg.seed, trial)
@@ -570,7 +525,7 @@ def _process_trial(args) -> ProcessRecord:
             t_ham = idx
             break
     assert t_ham is not None, "the complete hypergraph is weakly Hamiltonian"
-    return ProcessRecord(trial=trial, n=n, d=d, tau=tau, t_ham=t_ham)
+    return tau, t_ham
 
 
 _PROCESS_COLUMNS = ("trial", "n", "d", "tau", "t_ham", "gap", "equal")
@@ -584,9 +539,9 @@ def _process_table(cfg: ExperimentConfig) -> Table:
     oracle cutoff, above it by search witnesses only (t_ham an upper bound)."""
     items = [(cfg, t) for t in range(cfg.trials)]
     rows = []
-    for r in _map_tasks(_process_trial, items, cfg.workers):
-        assert r.tau <= r.t_ham, f"trial {r.trial}: tau {r.tau} > t_ham {r.t_ham}"
-        rows.append((r.trial, r.n, r.d, r.tau, r.t_ham, r.t_ham - r.tau, r.equal))
+    for trial, (tau, t_ham) in enumerate(_map_tasks(_process_trial, items, cfg.workers)):
+        assert tau <= t_ham, f"trial {trial}: tau {tau} > t_ham {t_ham}"
+        rows.append((trial, cfg.n, cfg.d, tau, t_ham, t_ham - tau, tau == t_ham))
     return Table("process", _PROCESS_COLUMNS, tuple(rows))
 
 

@@ -26,8 +26,8 @@ from . import _bitdp
 from .errors import CapabilityError, InputError
 from .hypercore import Hypergraph, _reach, isolated_vertices
 from .randmodels import SeededRng
-from .weakpaths import (SearchOutcome, WeakCycle, lift_cycle, rotation_extension_search,
-                        validate, weak_to_json)
+from .weakpaths import (SearchOutcome, WeakCycle, _check_witness, lift_cycle,
+                        rotation_extension_search, weak_to_json)
 
 __all__ = [
     "OracleVerdict",
@@ -193,10 +193,7 @@ def exact_weak_hamiltonian(H: Hypergraph, method: str = "dp") -> OracleVerdict:
         witness = _direct_hamilton(H)
         if witness is None:
             return OracleVerdict("no", None, "backtracking-direct")
-    check = validate(witness, H)
-    assert check.ok, f"oracle produced an invalid witness: {check.violation}"
-    assert witness.spanned == frozenset(range(H.n))
-    return OracleVerdict("yes", witness, method)
+    return OracleVerdict("yes", _check_witness(witness, H, frozenset(range(H.n))), method)
 
 
 def decide_weak_hamiltonian(
@@ -237,11 +234,9 @@ def weak_cycle_of_length(H: Hypergraph, ell: int) -> WeakCycle | None:
     cyc = _dp_cycle(H.shadow.adj_masks, H.n, ell)
     if cyc is None:
         return None
-    witness = lift_cycle(H, cyc)
-    check = validate(witness, H)
-    assert check.ok, f"probe produced an invalid witness: {check.violation}"
-    assert witness.length == ell
-    return witness
+    if len(cyc) != ell:
+        raise AssertionError(f"the dp found a cycle through {len(cyc)} vertices, not {ell}")
+    return _check_witness(lift_cycle(H, cyc), H, frozenset(cyc))
 
 
 def has_weak_cycle_of_length(H: Hypergraph, ell: int) -> bool:

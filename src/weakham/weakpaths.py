@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 from typing import Mapping
 
 import numpy as np
@@ -60,11 +61,19 @@ __all__ = [
 
 def _store_as_tuples(obj) -> None:
     """Keep a weak path's or cycle's vertices and edges as tuples, whatever
-    sequences they were given as, so they hash, compare and serialize alike."""
+    sequences they were given as, and each edge's vertices in ascending
+    order, as Hypergraph stores them, so they hash, compare, serialize and
+    validate alike. Witnesses lifted from H's rows are ascending already;
+    one column-wise test finds that without sorting each edge."""
     try:
         edges = tuple(map(tuple, obj.edges))
+        cols = list(zip(*edges))
+        if len(cols) * len(edges) != sum(map(len, edges)) or not all(
+            all(map(le, a, b)) for a, b in zip(cols, cols[1:])
+        ):
+            edges = tuple(tuple(sorted(e)) for e in edges)
     except TypeError as exc:
-        raise InputError(f"edges must be sequences of vertices: {exc}") from exc
+        raise InputError(f"edges must be sequences of orderable vertices: {exc}") from exc
     object.__setattr__(obj, "vertices", tuple(obj.vertices))
     object.__setattr__(obj, "edges", edges)
 
@@ -186,6 +195,19 @@ def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult
     if strict_edges and len(set(obj.edges)) != len(obj.edges):
         return ValidationResult(False, "edges not distinct")
     return ValidationResult(True)
+
+
+def _check_witness(cycle: WeakCycle, H: Hypergraph, spans: frozenset[int]) -> WeakCycle:
+    """cycle, once validate passes it and its vertex set is exactly `spans`;
+    otherwise raises AssertionError naming the violation. Every "yes" rests
+    on this check, so it is a raise, which python -O keeps, not an assert."""
+    violation = validate(cycle, H).violation
+    if violation is None and cycle.spanned != spans:
+        v = min(cycle.spanned ^ spans)
+        violation = f"vertex {v} {'is missing' if v in spans else 'should not be on it'}"
+    if violation is not None:
+        raise AssertionError(f"invalid witness cycle: {violation}")
+    return cycle
 
 
 def rotate(P: WeakPath, e: tuple[int, ...], i: int) -> WeakPath:
@@ -587,11 +609,9 @@ def rotation_extension_search(
         shadow.adj, shadow.adj_masks, v1, gen, budget, attempts=5, close=True
     )
     if cyc is not None:
-        cycle = lift_cycle(H, cyc)
-        assert validate(cycle, H).ok and cycle.spanned == frozenset(v1)
         return SearchOutcome(
-            cycle=cycle, path=None, complete=True, exhausted=False, rotations=rots,
-            restarts=restarts,
+            cycle=_check_witness(lift_cycle(H, cyc), H, frozenset(v1)), path=None,
+            complete=True, exhausted=False, rotations=rots, restarts=restarts,
         )
     return SearchOutcome(
         cycle=None, path=lift_path(H, best), complete=False, exhausted=exhausted,

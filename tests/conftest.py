@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from weakham import Hypergraph, rotate, validate
+from weakham import Hypergraph, InputError, lift_path, rotate, validate
 
 # Deterministic, deadline-free profile: exact oracles near their size cutoffs
 # can outlast hypothesis's default deadline, and the whole suite is meant to
@@ -60,16 +60,20 @@ def audit_rotations(H: Hypergraph, P, ps) -> list[str]:
     keep P's vertex set and start, end at its endpoint, and equal
     rotate(R, e, i) for some other representative R, where e is the cover
     edge of the pivot pair (R.vertices[i], R.last). Returns one fault per
-    failing representative."""
-    cover = H.cover_index
+    failing representative. The cover edge is the one lift_path picks, the
+    lexicographically smallest edge covering the pair; an uncovered pair
+    raises InputError there and is no rotation."""
     reps = ps.representatives
 
     def rotated_from(R, Q):
         i = R.vertices.index(Q.last) - 1
         if not 0 <= i <= R.h - 2:
             return False
-        pair = tuple(sorted((R.vertices[i], R.last)))
-        return pair in cover and rotate(R, cover[pair], i) == Q
+        try:
+            e = lift_path(H, (R.vertices[i], R.last)).edges[0]
+        except InputError:
+            return False
+        return rotate(R, e, i) == Q
 
     faults = []
     for u, Q in reps.items():

@@ -5,6 +5,9 @@ covered vertex set, and fixed-length weak cycles."""
 from __future__ import annotations
 
 import json
+import re
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
@@ -212,6 +215,37 @@ def test_decide_keeps_the_search_provenance():
     assert (chain.answer, chain.method) == ("no", "search")
     assert chain.search.impossible is not None
     assert chain.note == chain.search.impossible
+
+
+_BAD_WITNESS_RUN = """
+import sys
+from itertools import combinations
+from weakham import Hypergraph, WeakCycle, oracle, weakpaths
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+def lift_cycle(H, vseq):  # a lift whose every edge is (0, 1, 2)
+    return WeakCycle(vseq, [(0, 1, 2)] * len(vseq))
+weakpaths.lift_cycle = oracle.lift_cycle = lift_cycle
+oracle._direct_hamilton = lambda H: lift_cycle(H, range(H.n))
+H = Hypergraph.from_edges(6, 3, combinations(range(6), 3))
+print({
+    "search": lambda: oracle.decide_weak_hamiltonian(H),
+    "dp": lambda: oracle.exact_weak_hamiltonian(H, "dp"),
+    "backtracking-direct": lambda: oracle.exact_weak_hamiltonian(H, "backtracking-direct"),
+    "probe": lambda: oracle.weak_cycle_of_length(H, 6),
+}[sys.argv[1]]())
+"""
+
+
+@pytest.mark.parametrize("where", ["search", "dp", "backtracking-direct", "probe"])
+def test_invalid_witness_raises_under_python_O(where):
+    # python -O strips assert statements; the check behind every "yes" must
+    # still refuse a lift that returns an invalid cycle
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_WITNESS_RUN, where],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0, proc.stdout
+    assert re.search(r"AssertionError: invalid witness cycle: edge \d+ = \(0, 1, 2\) "
+                     r"does not cover consecutive pair", proc.stderr), proc.stderr
 
 
 # --------------------------------------------------------- cycles of length l

@@ -40,7 +40,8 @@ from weakham import (
     weak_to_json,
 )
 from weakham.hypercore import _reach
-from weakham.weakpaths import _cut_vertex, _forced_edge_pruning, default_rotation_budget
+from weakham.weakpaths import (_check_witness, _cut_vertex, _forced_edge_pruning,
+                               default_rotation_budget)
 
 from conftest import audit_rotations, complete_hypergraph, hypergraphs, petersen
 
@@ -113,6 +114,28 @@ def test_weak_objects_store_lists_as_tuples():
     assert validate(C, Hl).ok and weak_from_json(weak_to_json(C)) == C
     with pytest.raises(InputError, match="edges must be sequences"):
         WeakPath((0, 1), (5,))
+
+
+def test_weak_objects_store_each_edge_sorted():
+    # Hypergraph stores each edge sorted, so weak objects must too: else
+    # (2, 1, 0) is "not an edge of H", and one edge listed three ways counts
+    # as three distinct edges
+    Hl = H(5, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (2, 3, 4), (0, 3, 4)])
+    P = WeakPath((0, 1), ((2, 1, 0),))
+    assert P.edges == ((0, 1, 2),) and P == WeakPath((0, 1), ((0, 1, 2),))
+    assert validate(P, Hl).ok
+    C = WeakCycle((0, 1, 2), ((0, 1, 2), (2, 1, 0), (1, 0, 2)))
+    assert C.edges == ((0, 1, 2),) * 3 and not C.has_distinct_edges
+    assert not validate(C, Hl, strict_edges=True).ok
+    # only the unsorted edge moves; ragged widths are sorted edge by edge
+    mixed = WeakPath((0, 1, 3), ((0, 1, 2), (3, 1, 0)))
+    assert mixed.edges == ((0, 1, 2), (0, 1, 3)) and validate(mixed, Hl).ok
+    assert WeakPath((0, 1, 2), ((1, 0), (2, 1, 0))).edges == ((0, 1), (0, 1, 2))
+    Pj = weak_from_json('{"kind":"path","sequence":[0,[2,1,0],1]}')
+    assert Pj == P and validate(Pj, Hl).ok
+    assert weak_to_json(Pj) == '{"kind":"path","sequence":[0,[0,1,2],1]}'
+    with pytest.raises(InputError, match="orderable vertices"):
+        WeakPath((0, 1), ((0, "a", 1),))
 
 
 # ----------------------------------------------------------------- validation
@@ -396,6 +419,18 @@ def test_search_single_edge_finds_triangle():
     assert C.spanned == frozenset({0, 1, 2})
     assert set(C.edges) == {(0, 1, 2)}
     assert validate(C, Hs).ok
+
+
+def test_check_witness_names_the_violation():
+    Hc = complete_hypergraph(5, 3)
+    C = WeakCycle((0, 1, 2), ((0, 1, 2),) * 3)
+    assert _check_witness(C, Hc, frozenset({0, 1, 2})) is C
+    with pytest.raises(AssertionError, match="invalid witness cycle: vertex 3 is missing"):
+        _check_witness(C, Hc, frozenset(range(4)))
+    with pytest.raises(AssertionError, match="vertex 0 should not be on it"):
+        _check_witness(C, Hc, frozenset({1, 2, 3}))
+    with pytest.raises(AssertionError, match="edge 0 = \\(0, 1, 2\\) is not an edge of H"):
+        _check_witness(C, H(5, 3, [(1, 2, 3)]), frozenset({0, 1, 2}))
 
 
 def test_search_spans_non_isolated_only():
