@@ -23,14 +23,14 @@ The core move set mirrors the classic rotation-extension loop:
 One driver, `search`, serves both uses; `close` is its only mode switch.
 
 Paths are `np.intp` arrays from the first growth to the return, so the
-per-rotation work is numpy's: a rotation is one copy with its tail reversed,
-and a closure scan fills the positions of each dequeued path with one fancy
-assignment into a position array of its own (no buffer is shared between
-scans). Growth draws its candidates from `adj_masks[w] & free`, with the free
-bitmask kept up to date as vertices join: the draw is sized by the mask's
-popcount, and the candidate it names is found by walking `adj[w]`, so
-candidates count in adjacency order. `search` converts only what it returns
-to lists.
+per-rotation work is numpy's: a rotated path is one copy with its tail
+reversed, made only when the path is read, and a closure scan fills the
+positions of each dequeued path with one fancy assignment into a position
+array of its own (no buffer is shared between scans). Growth draws its
+candidates from `adj_masks[w] & free`, with the free bitmask kept up to date
+as vertices join: the draw is sized by the mask's popcount, and the
+candidate it names is found by walking `adj[w]`, so candidates count in
+adjacency order. `search` converts only what it returns to lists.
 
 The draws (starts and growth steps) are numpy's `Generator.integers`,
 replayed from raw PCG64 words by `randmodels._bounded_draws`, the one model
@@ -88,18 +88,30 @@ def _grow(adj, adj_masks, w, free, draw):
         free ^= 1 << w
 
 
-def _endpoint_hit(adj, adj_masks, P, free, v0, close, rotations):
-    """Success test for the endpoint of P: "extend" through its first
-    neighbor in `free` (adjacency order), else — when `close` — "cycle" if it
-    is adjacent to v0, else None."""
-    u = P.item(-1)
+def _endpoint_hit(adj, adj_masks, u, free, v0, close):
+    """How the endpoint u ends a scan: its first neighbor in `free`
+    (adjacency order) to extend through, else -1 when `close` and u is
+    adjacent to v0 (a cycle closes), else None (no hit)."""
     m = adj_masks[u]
     if m & free:
-        x = next(x for x in adj[u] if (free >> x) & 1)
-        return ClosureResult("extend", path=np.concatenate((P, (x,))), rotations=rotations)
+        return next(x for x in adj[u] if (free >> x) & 1)
     if close and (m >> v0) & 1:
-        return ClosureResult("cycle", path=P, rotations=rotations)
+        return -1
     return None
+
+
+def _hit_result(P, x, rotations):
+    """The scan result of an endpoint hit x on the path P."""
+    if x < 0:
+        return ClosureResult("cycle", path=P, rotations=rotations)
+    return ClosureResult("extend", path=np.concatenate((P, (x,))), rotations=rotations)
+
+
+def _rotated(P, i):
+    """P rotated at pivot index i: a copy with its tail after i reversed."""
+    R = P.copy()
+    R[i + 1 :] = P[:i:-1]
+    return R
 
 
 def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
@@ -116,6 +128,10 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
     representative path per endpoint of the full closure, or "budget" when
     the rotation allowance runs out first. Every path returned is an array.
 
+    A rotation only names its endpoint until the path is read: the queue
+    holds (parent, pivot) pairs, and a rotated path is copied when it is
+    dequeued, when it is the hit returned, or, for "budget", when it is one
+    of the representatives returned; the endpoint tests need no copy.
     The scan keeps its own position array, filled by one assignment per
     dequeued path and never cleared: a position is only read for a vertex
     on the path (its `pmask` bit set), and each fill overwrites all of them.
@@ -124,16 +140,18 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
     h = len(path) - 1
     free = target_mask & ~pmask
     close = close and h >= 2
+    hit = _endpoint_hit(adj, adj_masks, path.item(-1), free, v0, close)
+    if hit is not None:
+        return _hit_result(path, hit, 0)
     reps = {path.item(-1): path}
-    result = _endpoint_hit(adj, adj_masks, path, free, v0, close, 0)
-    if result is not None or h < 2:
-        return result or ClosureResult("stall", reps=reps, rotations=0)
+    if h < 2:
+        return ClosureResult("stall", reps=reps, rotations=0)
     pos = np.empty(len(adj), dtype=np.intp)
     order = np.arange(h + 1, dtype=np.intp)
-    queue = deque((path,))
+    queue = deque()
     rotations = 0
-    while queue and result is None:
-        P = queue.popleft()
+    P = path
+    while True:
         pos[P] = order
         for x in adj[P.item(-1)]:
             if not (pmask >> x) & 1:
@@ -143,17 +161,19 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
                 u = P.item(i + 1)
                 if u not in reps:
                     if rotations >= budget:
-                        result = ClosureResult("budget", reps=reps, rotations=rotations)
-                        break
+                        for R, j in queue:
+                            reps[R.item(j + 1)] = _rotated(R, j)
+                        return ClosureResult("budget", reps=reps, rotations=rotations)
                     rotations += 1
-                    newP = P.copy()
-                    newP[i + 1 :] = P[:i:-1]
-                    result = _endpoint_hit(adj, adj_masks, newP, free, v0, close, rotations)
-                    if result is not None:
-                        break
-                    reps[u] = newP
-                    queue.append(newP)
-    return result or ClosureResult("stall", reps=reps, rotations=rotations)
+                    hit = _endpoint_hit(adj, adj_masks, u, free, v0, close)
+                    if hit is not None:
+                        return _hit_result(_rotated(P, i), hit, rotations)
+                    reps[u] = None  # copied when dequeued
+                    queue.append((P, i))
+        if not queue:
+            return ClosureResult("stall", reps=reps, rotations=rotations)
+        R, i = queue.popleft()
+        P = reps[R.item(i + 1)] = _rotated(R, i)
 
 
 def search(adj, adj_masks, target, gen, max_rotations, attempts, close):

@@ -57,7 +57,7 @@ from .randmodels import (
     GnmParams,
     GnpParams,
     SeededRng,
-    _process_rows,
+    _process_order,
     limiting_probability,
     m_from_c,
     p_from_c,
@@ -366,7 +366,8 @@ def _threshold_trial(args) -> tuple[bool, str]:
     verdict = decide_weak_hamiltonian(
         H, budget=cfg.budget, rng=rng.shifted(_SEARCH_LANE), oracle_cutoff=cfg.oracle_cutoff
     )
-    assert not (verdict.yes and not mindeg_ok)
+    if verdict.yes and not mindeg_ok:
+        raise AssertionError("a weak Hamilton cycle reported on a graph with an isolated vertex")
     return mindeg_ok, verdict.answer
 
 
@@ -391,7 +392,10 @@ def _threshold_table(cfg: ExperimentConfig) -> Table:
         mindeg_yes = sum(ok for ok, _ in results)
         answers = [answer for _, answer in results]
         yes, no, unknown = (answers.count(a) for a in ("yes", "no", "unknown"))
-        assert yes + no + unknown == cfg.trials
+        if yes + no + unknown != cfg.trials:
+            raise AssertionError(
+                f"c={c}: {yes} yes, {no} no and {unknown} unknown of {cfg.trials} trials"
+            )
         lo_m, hi_m = wilson_interval(mindeg_yes, cfg.trials)
         decided = yes + no
         if decided:
@@ -509,14 +513,15 @@ def _process_trial(args) -> tuple[int, int]:
     cfg, trial = args
     n, d = cfg.n, cfg.d
     rng = SeededRng(cfg.seed, trial)
-    rows = _process_rows(n, d, rng)
+    allsets, order = _process_order(n, d, rng)
     # tau is the step of the edge holding the last first appearance of a vertex
-    _, first = np.unique(rows.ravel(), return_index=True)
-    assert first.size == n, "full process must cover every vertex"
+    _, first = np.unique(allsets[order].ravel(), return_index=True)
+    if first.size != n:
+        raise AssertionError(f"the full process covers {first.size} of {n} vertices")
     tau = int(first.max()) // d + 1
     t_ham = None
-    for idx in range(tau, len(rows) + 1):
-        H = Hypergraph._from_rows(n, d, rows[:idx])
+    for idx in range(tau, len(order) + 1):
+        H = Hypergraph(n, d, allsets[np.sort(order[:idx])])
         verdict = decide_weak_hamiltonian(
             H, budget=cfg.budget, rng=rng.shifted(_SEARCH_LANE + idx),
             oracle_cutoff=cfg.oracle_cutoff,
@@ -524,7 +529,8 @@ def _process_trial(args) -> tuple[int, int]:
         if verdict.yes:
             t_ham = idx
             break
-    assert t_ham is not None, "the complete hypergraph is weakly Hamiltonian"
+    if t_ham is None:
+        raise AssertionError("the complete hypergraph was not found weakly Hamiltonian")
     return tau, t_ham
 
 
@@ -534,13 +540,14 @@ _PROCESS_COLUMNS = ("trial", "n", "d", "tau", "t_ham", "gap", "equal")
 def _process_table(cfg: ExperimentConfig) -> Table:
     """Random edge process: per trial, the first edge count tau with no
     isolated vertex and the first count t_ham with a weak Hamilton cycle.
-    tau <= t_ham is asserted per row; the gap distribution is exploratory.
+    tau <= t_ham is checked per row; the gap distribution is exploratory.
     Prefixes are decided by decide_weak_hamiltonian: exactly up to the
     oracle cutoff, above it by search witnesses only (t_ham an upper bound)."""
     items = [(cfg, t) for t in range(cfg.trials)]
     rows = []
     for trial, (tau, t_ham) in enumerate(_map_tasks(_process_trial, items, cfg.workers)):
-        assert tau <= t_ham, f"trial {trial}: tau {tau} > t_ham {t_ham}"
+        if tau > t_ham:
+            raise AssertionError(f"trial {trial}: tau {tau} > t_ham {t_ham}")
         rows.append((trial, cfg.n, cfg.d, tau, t_ham, t_ham - tau, tau == t_ham))
     return Table("process", _PROCESS_COLUMNS, tuple(rows))
 

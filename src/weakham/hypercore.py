@@ -12,7 +12,8 @@ Vertices are 0-based contiguous ids. A hypergraph stores its edges once, as
 an (m, d) int64 array `rows` of strictly ascending rows in lexicographic
 order, which gives a canonical form: equal hypergraphs serialize to
 identical bytes. Edge tuples are built from `rows` only where a caller
-reads them; the derived structures are built from it with numpy. Degrees
+reads them; the derived structures are built from it with numpy. A row is
+found by one searchsorted among the rows' big-endian byte keys. Degrees
 are a `bincount`. Every edge contributes its C(d, 2) pairs as codes u*n + v
 (u < v), laid out edge-major, so `np.unique(codes, return_index=True)` gives
 the covered pairs in order together with the first position of each; that
@@ -113,13 +114,6 @@ class Hypergraph:
             raise InputError("edge vertices must be 64-bit integers") from None
         return Hypergraph(n=n, d=d, edges=tuple(canon))
 
-    @staticmethod
-    def _from_rows(n: int, d: int, rows: np.ndarray) -> "Hypergraph":
-        """The hypergraph of a (k, d) int64 array of ascending rows in any
-        order (a sampler's draw): rows are sorted lexicographically and then
-        validated like any edge list."""
-        return Hypergraph(n, d, rows[np.lexsort(rows.T[::-1])])
-
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples of ints, built on first read."""
@@ -160,6 +154,20 @@ class Hypergraph:
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The rows as `_row_keys`, ascending like the rows, so a row is
+        found by one searchsorted."""
+        return _row_keys(self.rows)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an (m, d) integer array as one key of its d big-endian
+    int64 bytes: keys compare bytewise, which is lexicographic order on
+    rows of non-negative entries."""
+    big = np.ascontiguousarray(rows, dtype=">i8")
+    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
 
 
 def _edge_rows(n: int, d: int, edges) -> np.ndarray:

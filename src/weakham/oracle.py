@@ -79,7 +79,8 @@ def _backtrack(dp, masks: list[int], S: int, v: int) -> list[int]:
     S ^= 1 << v
     while S:
         cand = int(dp[S]) & masks[v]
-        assert cand != 0, "dp backtrack lost its trail"
+        if not cand:
+            raise AssertionError("dp backtrack lost its trail")
         v = _lowest_bit(cand)
         seq.append(v)
         S ^= 1 << v

@@ -229,9 +229,13 @@ def _enumerate_dsets(n: int, d: int) -> np.ndarray:
     return arr
 
 
-def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> np.ndarray:
+def _sample_distinct_rows(
+    n: int, d: int, k: int, gen: np.random.Generator, lex: bool = False
+) -> np.ndarray:
     """k distinct d-sets, uniform without replacement, as a (k, d) int64
-    array in draw order.
+    array in draw order, or, with `lex`, in lexicographic order: the row
+    indices or row codes are sorted before they are decoded, one 1-D sort in
+    place of a sort of the rows.
 
     Dense regime enumerates and index-samples. Sparse regime rejection-samples
     batches of (batch, d) uniform draws held as d columns: a bubble network of
@@ -253,7 +257,7 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
     if total <= _DENSE_ENUM_LIMIT or 2 * k >= total:
         allsets = _all_dsets(n, d)
         idx = gen.choice(total, size=k, replace=False)
-        return allsets[idx]
+        return allsets[np.sort(idx) if lex else idx]
     if n**d >= 2**62:
         raise CapabilityError(f"n={n}, d={d} too large for packed sampling")
     if k > _ENUM_LIMIT:
@@ -281,7 +285,8 @@ def _sample_distinct_rows(n: int, d: int, k: int, gen: np.random.Generator) -> n
             break
         batch = max(256, 2 * (k - first.size))
     rows = np.empty((k, d), dtype=np.int64)
-    rest = first[:k]
+    # radix-n codes of ascending rows order like the rows
+    rest = np.sort(first[:k]) if lex else first[:k]
     for j in range(d - 1, 0, -1):
         high = rest // n  # floor_divide by a scalar is faster than divmod
         rows[:, j] = rest - high * n
@@ -309,9 +314,10 @@ def _first_occurrences(codes: np.ndarray) -> np.ndarray:
 # --- samplers -----------------------------------------------------------------
 
 
-def _gnp_rows(params: GnpParams, rng: SeededRng) -> np.ndarray:
+def _gnp_rows(params: GnpParams, rng: SeededRng, lex: bool = False) -> np.ndarray:
     """The edge rows of one G(n,p) draw: a binomial edge count (drawn only
-    when 0 < p < 1 and some d-set exists), then that many distinct rows.
+    when 0 < p < 1 and some d-set exists), then that many distinct rows, in
+    draw order or, with `lex`, in lexicographic order.
     Raises CapabilityError, before the draw, when C(n,d) does not fit the
     int64 trial count of the binomial."""
     gen = rng.generator()
@@ -327,19 +333,19 @@ def _gnp_rows(params: GnpParams, rng: SeededRng) -> np.ndarray:
                 "int64 binomial edge-count draw"
             )
         k = int(gen.binomial(total, params.p))
-    return _sample_distinct_rows(params.n, params.d, k, gen)
+    return _sample_distinct_rows(params.n, params.d, k, gen, lex)
 
 
 def sample_gnp(params: GnpParams, rng: SeededRng) -> Hypergraph:
     """One draw of G(n,p): binomial edge count, then that many distinct edges."""
-    return Hypergraph._from_rows(params.n, params.d, _gnp_rows(params, rng))
+    return Hypergraph(params.n, params.d, _gnp_rows(params, rng, lex=True))
 
 
 def sample_gnm(params: GnmParams, rng: SeededRng) -> Hypergraph:
     """One draw of G(n,m): exactly m distinct edges, uniform."""
     gen = rng.generator()
-    rows = _sample_distinct_rows(params.n, params.d, params.m, gen)
-    return Hypergraph._from_rows(params.n, params.d, rows)
+    rows = _sample_distinct_rows(params.n, params.d, params.m, gen, lex=True)
+    return Hypergraph(params.n, params.d, rows)
 
 
 def sampled_covered_vertices(params: GnpParams, rng: SeededRng) -> np.ndarray:
@@ -351,12 +357,13 @@ def sampled_covered_vertices(params: GnpParams, rng: SeededRng) -> np.ndarray:
     return covered
 
 
-def _process_rows(n: int, d: int, rng: SeededRng) -> np.ndarray:
-    """The edge process as a (C(n,d), d) int64 array: row i is the i-th
-    edge of the stream."""
-    gen = rng.generator()
+def _process_order(n: int, d: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """The edge process as (allsets, order): every d-set, in lexicographic
+    order, and a uniform permutation of their indices; row order[i] of
+    allsets is the i-th edge of the stream, so the sorted indices of a
+    prefix give its rows in lexicographic order."""
     allsets = _all_dsets(n, d)
-    return allsets[gen.permutation(len(allsets))]
+    return allsets, rng.generator().permutation(len(allsets))
 
 
 def edge_process(n: int, d: int, rng: SeededRng) -> tuple[tuple[int, ...], ...]:
@@ -366,4 +373,5 @@ def edge_process(n: int, d: int, rng: SeededRng) -> tuple[tuple[int, ...], ...]:
     recording hitting times is the edge-process experiment. Raises
     CapabilityError when C(n,d) is above the enumeration limit.
     """
-    return tuple(map(tuple, _process_rows(n, d, rng).tolist()))
+    allsets, order = _process_order(n, d, rng)
+    return tuple(map(tuple, allsets[order].tolist()))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import _engine
 from .errors import CapabilityError, InputError
-from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, neighbors,
+from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, _row_keys, neighbors,
                         non_isolated_vertices)
 from .randmodels import SeededRng
 
@@ -157,6 +158,39 @@ def _pair_covered(e: tuple[int, ...], u: int, v: int) -> bool:
     return u in e and v in e
 
 
+def _first_non_edge(edges, H: Hypergraph) -> int | None:
+    """The index of the first of `edges` (ascending tuples) that is not a
+    row of H, or None, by one searchsorted of their `_row_keys` among H's.
+    numpy converts edges of d integers at once; an entry outside [0, n)
+    matches no row, as the rows hold only vertices (an entry of 2**63 or
+    more, held as uint64, wraps negative). Other edges go through
+    `_edge_row` one at a time."""
+    d = H.d
+    try:
+        rows = np.array(edges)
+    except ValueError:  # edges of unequal arities
+        rows = None
+    if rows is None or rows.dtype.kind not in "biu" or rows.shape != (len(edges), d):
+        end = min(H.n, 2**63)  # rows hold int64 vertices
+        rows = np.array([_edge_row(e, d, end) for e in edges], dtype=np.int64).reshape(-1, d)
+    keys, known = _row_keys(rows), H._keys
+    pos = np.searchsorted(known, keys)
+    hit = pos < known.size
+    hit[hit] = known[pos[hit]] == keys[hit]
+    return None if hit.all() else int(hit.argmin())
+
+
+def _edge_row(e, d: int, end: int) -> list[int]:
+    """e as a row of d vertex ids, or a row of -1s, which matches no row of
+    a hypergraph, when e has another arity or an entry that is not an
+    integer in [0, end) (a float, a string, an integer beyond int64)."""
+    try:
+        row = [operator.index(v) for v in e]
+    except TypeError:
+        return [-1] * d
+    return row if len(row) == d and all(0 <= v < end for v in row) else [-1] * d
+
+
 def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult:
     """Check a WeakPath/WeakCycle against its host hypergraph.
 
@@ -174,10 +208,9 @@ def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult
     for v in vs:
         if not (0 <= v < H.n):
             return ValidationResult(False, f"vertex {v} out of range [0, {H.n})")
-    edge_set = H.edge_set
-    for k, e in enumerate(obj.edges):
-        if e not in edge_set:
-            return ValidationResult(False, f"edge {k} = {e} is not an edge of H")
+    k = _first_non_edge(obj.edges, H)
+    if k is not None:
+        return ValidationResult(False, f"edge {k} = {obj.edges[k]} is not an edge of H")
     for k, e in enumerate(obj.edges):
         u = vs[k]
         v = vs[(k + 1) % len(vs)] if is_cycle else vs[k + 1]

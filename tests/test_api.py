@@ -1,11 +1,14 @@
 """Public surface: every exported name resolves, in the package and in each
 submodule, and star-imports succeed; the package exports exactly the
-submodules' `__all__` lists."""
+submodules' `__all__` lists. The package's checks are raises, never
+assert statements."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +53,14 @@ def test_exported_names_are_in_their_module_all():
     for name in weakham.__all__[1:]:
         home = importlib.import_module(getattr(weakham, name).__module__)
         assert name in home.__all__, f"{name} missing from {home.__name__}.__all__"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check in the package is a raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(weakham.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -149,6 +149,19 @@ def test_closure_scan_tests_each_endpoint_when_it_is_reached():
         assert res.rotations == 1
 
 
+def test_closure_scan_budget_returns_every_representative_as_a_path():
+    # on K6 the root's endpoint 5 rotates at pivot 0 (endpoint 1), and the
+    # next rotation (endpoint 2) is beyond the budget of 1, so the scan stops
+    # with the rotation to 1 still queued: it is returned as a path too
+    adj, masks = _graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    path = list(range(6))
+    res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
+                       _mask(path), 1, False)
+    assert (res.kind, res.rotations) == ("budget", 1)
+    assert {u: P.tolist() for u, P in res.reps.items()} == {
+        5: [0, 1, 2, 3, 4, 5], 1: [0, 5, 4, 3, 2, 1]}
+
+
 def _seeded(seed):
     return np.random.default_rng(seed)
 
@@ -415,6 +428,15 @@ def test_search_is_pinned_at_n10000():
     assert (out.rotations, out.restarts) == (7280, 0)
     assert _cycle_digest(out.cycle.vertices) == (
         "0a04386e739fbe96f809fc6aaf9476d8e70cff3d619454d6fb9bfaa820858cbf")
+
+
+def test_search_is_pinned_at_n10000_below_threshold():
+    # recorded before closure scans copied a rotated path only when read
+    H = sample_gnp(GnpParams(10**4, 3, p_from_c(10**4, 3, 0)), SeededRng(2, 0))
+    out = rotation_extension_search(H, rng=SeededRng(2, 1))
+    assert (out.rotations, out.restarts) == (7668, 0)
+    assert _cycle_digest(out.cycle.vertices) == (
+        "fc92580b6af61e6cdece82fbe3da6d41c505f633deceae19004aa86105bed707")
 
 
 def test_stalled_path_is_pinned():

@@ -7,10 +7,13 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from weakham import expansion, harness, oracle
@@ -35,7 +38,7 @@ from weakham import (
     run_experiment,
     wilson_interval,
 )
-from weakham.randmodels import _process_rows
+from weakham.randmodels import _process_order
 
 Z95 = 1.959963984540054
 
@@ -482,7 +485,8 @@ def test_n30_process_prefixes_the_search_gave_up_on_are_certified(trial, idx, no
     # the three prefixes in [tau, t_ham) of a 40-trial n=30 process at seed 1
     # that five searches (300-500 rotations) left "unknown"
     rng = SeededRng(1, trial)
-    H = Hypergraph._from_rows(30, 3, _process_rows(30, 3, rng)[:idx])
+    allsets, order = _process_order(30, 3, rng)
+    H = Hypergraph(30, 3, allsets[np.sort(order[:idx])])
     v = decide_weak_hamiltonian(H, rng=rng.shifted(harness._SEARCH_LANE + idx))
     assert (v.answer, v.method, v.note) == ("no", "search", note)
     assert v.search.rotations == 0
@@ -495,6 +499,28 @@ def test_n30_threshold_table_leaves_no_trial_unknown():
         "threshold", {"n": "30", "c_grid": "0", "trials": "1000", "seed": "3"}))
     counts = [tab.column(name) for name in ("ham_yes", "ham_no", "ham_unknown")]
     assert counts == [["230"], ["770"], ["0"]]
+
+
+_YES_WITHOUT_WITNESS_RUN = """
+import sys
+from weakham import harness, make_config, run_experiment
+from weakham.oracle import OracleVerdict
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+harness.decide_weak_hamiltonian = lambda H, **kw: OracleVerdict("yes", None, "search")
+cfg = make_config("threshold", {"n": "30", "c_grid": "-2", "trials": "20"})
+print(run_experiment(cfg).column("ham_yes"))
+"""
+
+
+def test_table_checks_hold_under_python_O():
+    # python -O strips assert statements; a "yes" on a graph with an
+    # isolated vertex must still stop the table rather than count 20 yes
+    proc = subprocess.run([sys.executable, "-O", "-c", _YES_WITHOUT_WITNESS_RUN],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0, proc.stdout
+    assert ("AssertionError: a weak Hamilton cycle reported on a graph with an "
+            "isolated vertex") in proc.stderr, proc.stderr
 
 
 def test_process_tiny_universe_is_degenerate():

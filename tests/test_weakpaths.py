@@ -16,6 +16,7 @@ from weakham import (
     Hypergraph,
     InputError,
     SeededRng,
+    ValidationResult,
     WeakCycle,
     WeakPath,
     booster_edges,
@@ -198,6 +199,83 @@ def test_validate_cycle_wrap_pair():
     res = validate(C_bad, Hc)
     assert not res.ok
     assert "does not cover consecutive pair (4, 0)" in res.violation
+
+
+def _reference_validate(obj, Hs, strict_edges=False):
+    """validate as it was before its membership check used searchsorted: a
+    per-edge loop over the frozenset of H's edge tuples."""
+    vs = obj.vertices
+    if len(set(vs)) != len(vs):
+        return ValidationResult(False, "vertices not distinct")
+    for v in vs:
+        if not (0 <= v < Hs.n):
+            return ValidationResult(False, f"vertex {v} out of range [0, {Hs.n})")
+    for k, e in enumerate(obj.edges):
+        if e not in Hs.edge_set:
+            return ValidationResult(False, f"edge {k} = {e} is not an edge of H")
+    cycle = isinstance(obj, WeakCycle)
+    for k, e in enumerate(obj.edges):
+        u, v = vs[k], vs[(k + 1) % len(vs)] if cycle else vs[k + 1]
+        if u not in e or v not in e:
+            return ValidationResult(
+                False, f"edge {k} = {e} does not cover consecutive pair ({u}, {v})"
+            )
+    if strict_edges and len(set(obj.edges)) != len(obj.edges):
+        return ValidationResult(False, "edges not distinct")
+    return ValidationResult(True)
+
+
+@st.composite
+def _json_witnesses(draw):
+    """(hypergraph, witness read by weak_from_json): vertices mostly
+    distinct and in range; each edge an edge of H, a d-set of the vertex
+    range, or an edge of H with one more entry, one entry fewer, or one
+    entry replaced by one that is negative, at least n, or beyond int64."""
+    Hs = draw(hypergraphs(min_n=3, max_n=9, ds=(2, 3, 4)))
+    n, d = Hs.n, Hs.d
+    cycle = draw(st.booleans())
+    vs = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=3 if cycle else 1,
+                       max_size=n))
+    if draw(st.integers(0, 19)) == 7:
+        vs[draw(st.integers(0, len(vs) - 1))] = draw(st.sampled_from([-1, n, 2**63]))
+    dset = st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True)
+    bad = st.one_of(
+        st.integers(-(2**70), -1), st.integers(n, 2**70),
+        st.sampled_from([-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**64]),
+    )
+    edges = []
+    for _ in range(len(vs) - (not cycle)):
+        e = list(draw(st.sampled_from(Hs.edges))) if Hs.m else draw(dset)
+        kind = draw(st.integers(0, 9))  # mostly edges of H, so later edges are reached
+        if kind == 6:
+            e = draw(dset)
+        elif kind == 7:
+            e.append(draw(st.one_of(st.integers(0, n - 1), bad)))
+        elif kind == 8:
+            e.pop()
+        elif kind == 9:
+            e[draw(st.integers(0, d - 1))] = draw(bad)
+        edges.append(e)
+    seq = [x for v, e in zip(vs, edges) for x in (v, e)]
+    seq += vs[len(edges):] if not cycle else vs[:1]
+    doc = {"kind": "cycle" if cycle else "path", "sequence": seq}
+    return Hs, weak_from_json(json.dumps(doc))
+
+
+@settings(max_examples=300)
+@given(_json_witnesses(), st.booleans())
+def test_validate_matches_the_edge_set_loop(case, strict):
+    Hs, W = case
+    assert validate(W, Hs, strict) == _reference_validate(W, Hs, strict)
+
+
+def test_validate_refuses_non_integer_entries():
+    # an entry that is not an integer names no vertex, even one equal to an
+    # integer, which the frozenset lookup took for that integer
+    P = WeakPath((0, 1), ((0, 1.0, 2),))
+    assert validate(P, PATH_H).violation == "edge 0 = (0, 1.0, 2) is not an edge of H"
+    P = WeakPath((0, 1), (("0", "1", "2"),))
+    assert validate(P, PATH_H).violation == "edge 0 = ('0', '1', '2') is not an edge of H"
 
 
 # ------------------------------------------------------------------ rotations
