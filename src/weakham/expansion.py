@@ -45,7 +45,6 @@ from .randmodels import SeededRng, _bounded, _uint32_words
 __all__ = [
     "ExpansionReport",
     "SampledCheck",
-    "GreedyProbeResult",
     "is_non_expanding",
     "u_exact",
     "u_sampled_check",
@@ -342,13 +341,10 @@ def u_sampled_check(
     u_target: int,
     samples: int,
     rng: SeededRng | None = None,
-    include_isolated: bool = False,
 ) -> SampledCheck:
     """Hunt for a non-expanding A with 1 <= |A| < u_target.
 
-    Candidate pool is V1(H) unless include_isolated, in which case any vertex
-    may participate (an isolated vertex alone is trivially non-expanding).
-    Strategy, over the sorted pool:
+    Candidate pool is V1(H). Strategy, over the sorted pool:
 
     - Sizes 1 then 2 (when below u_target) are scanned exhaustively in
       `itertools.combinations` order by `_first_hit`, stopping at the first
@@ -375,7 +371,7 @@ def u_sampled_check(
         raise InputError(f"u_target must be >= 0, got {u_target}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
-    pool = np.array(range(H.n) if include_isolated else non_isolated_vertices(H), dtype=np.int64)
+    pool = np.array(non_isolated_vertices(H), dtype=np.int64)
     if u_target <= 1 or not pool.size:
         return SampledCheck(ok=True, counterexample=None, samples_used=0)
     k = pool.size
@@ -442,24 +438,6 @@ def minimal_nonexpanding_connected(H: Hypergraph, A: Iterable[int]) -> bool:
 # --- greedy two-block edge probe ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreedyProbeResult:
-    """Monte Carlo record of the greedy covering walk. Successes count
-    trials in which every B-vertex became adjacent to A using only edges
-    inside the two blocks."""
-
-    a: int
-    b: int
-    d: int
-    p: float
-    trials: int
-    successes: int
-
-    @property
-    def phat(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
-
-
 _PROBE_ENUM_LIMIT = 2_000_000
 
 
@@ -494,9 +472,10 @@ def greedy_probe(
     p: float,
     trials: int,
     rng: SeededRng | None = None,
-) -> GreedyProbeResult:
+) -> int:
     """Monte Carlo of the greedy edge-finding walk on blocks A = [0, a) and
-    B = [a, a+b).
+    B = [a, a+b): the number of the `trials` in which every B-vertex became
+    adjacent to A using only edges inside the two blocks.
 
     Per trial, every d-set inside A ∪ B is independently present with
     probability p (only sets meeting both blocks are materialized — sets
@@ -540,7 +519,7 @@ def greedy_probe(
             ok &= pres[:, arr].any(axis=1)
         successes += int(ok.sum())
         done += k
-    return GreedyProbeResult(a=a, b=b, d=d, p=float(p), trials=trials, successes=successes)
+    return successes
 
 
 def pab_bound_exact(a: int, b: int, d: int, q: float) -> float:

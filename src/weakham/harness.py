@@ -621,7 +621,7 @@ def _expansion_table(cfg: ExperimentConfig) -> Table:
 
 def _pab_cell(args) -> int:
     cfg, a, b, p, idx = args
-    return greedy_probe(a, b, cfg.d, p, cfg.trials, rng=SeededRng(cfg.seed, idx)).successes
+    return greedy_probe(a, b, cfg.d, p, cfg.trials, rng=SeededRng(cfg.seed, idx))
 
 
 _PAB_COLUMNS = (

@@ -31,6 +31,7 @@ the search's cut-vertex test walks the masks depth-first, in weakpaths.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,14 +153,20 @@ class Hypergraph:
         return dict(zip(zip(u.tolist(), v.tolist()), map(self.edges.__getitem__, first.tolist())))
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def _keys(self) -> np.ndarray:
         """The rows as `_row_keys`, ascending like the rows, so a row is
         found by one searchsorted."""
         return _row_keys(self.rows)
+
+    def _has_rows(self, rows: np.ndarray) -> np.ndarray:
+        """For each row of an (k, d) integer array, whether it is a row of
+        H, by one searchsorted of its `_row_keys` among H's. A row with an
+        entry outside [0, n) matches none."""
+        keys, known = _row_keys(rows), self._keys
+        pos = np.searchsorted(known, keys)
+        hit = pos < known.size
+        hit[hit] = known[pos[hit]] == keys[hit]
+        return hit
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -248,15 +255,35 @@ class ShadowGraph:
         return u != v and (self.adj_masks[u] >> v) & 1 == 1
 
 
-def _check_vertex(H: Hypergraph, v: int) -> None:
+def _vertex_id(v) -> int:
+    """v as a Python int, by the vertex rule: a vertex is an integer that
+    `operator.index` accepts, and not a bool (as JSON true is no vertex).
+    Raises InputError otherwise."""
+    if type(v) is not bool:
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise InputError(f"vertex {v!r} is not an integer")
+
+
+def _vertex_ids(vs) -> tuple[int, ...]:
+    """The vertices vs as a tuple of Python ints, by the vertex rule."""
+    vs = tuple(vs)
+    return vs if all(type(v) is int for v in vs) else tuple(map(_vertex_id, vs))
+
+
+def _check_vertex(H: Hypergraph, v) -> int:
+    """v as a Python int; InputError unless it is a vertex of H."""
+    v = _vertex_id(v)
     if not (0 <= v < H.n):
         raise InputError(f"vertex {v} outside [0, {H.n})")
+    return v
 
 
 def degree(H: Hypergraph, v: int) -> int:
     """Number of hyperedges containing v."""
-    _check_vertex(H, v)
-    return H._degrees[v]
+    return H._degrees[_check_vertex(H, v)]
 
 
 def degrees(H: Hypergraph) -> tuple[int, ...]:
@@ -283,7 +310,7 @@ def neighbors(H: Hypergraph, V: Iterable[int]) -> frozenset[int]:
     masks = H.shadow.adj_masks
     vmask = reach = 0
     for v in set(V):
-        _check_vertex(H, v)
+        v = _check_vertex(H, v)
         vmask |= 1 << v
         reach |= masks[v]
     return frozenset(_members(reach & ~vmask))
@@ -344,9 +371,7 @@ def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
     Vertex labels are kept (no compaction): vertices outside W simply end up
     isolated. This keeps N(.) and path bookkeeping label-stable.
     """
-    ws = set(W)
-    for v in ws:
-        _check_vertex(H, v)
+    ws = {_check_vertex(H, v) for v in W}
     inw = np.zeros(H.n, dtype=bool)
     inw[list(ws)] = True
     return Hypergraph(H.n, H.d, H.rows[inw[H.rows].all(axis=1)])
@@ -400,9 +425,7 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
     relabelled to 0..|W|-1, so the bitmasks searched are |W| x |W|, and the
     _SHADOW_WORD_LIMIT bound applies to |W|, not to n.
     """
-    ws = sorted(set(W))
-    for v in ws:
-        _check_vertex(H, v)
+    ws = sorted({_check_vertex(H, v) for v in W})
     k = len(ws)
     if k <= 1:
         return True

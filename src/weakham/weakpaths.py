@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _engine
 from .errors import CapabilityError, InputError
-from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, _row_keys, neighbors,
+from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, _vertex_ids, neighbors,
                         non_isolated_vertices)
 from .randmodels import SeededRng
 
@@ -60,15 +60,17 @@ __all__ = [
 
 
 def _store_as_tuples(obj) -> None:
-    """Keep a weak path's or cycle's vertices and edges as tuples, whatever
-    sequences they were given as, and each edge's vertices in ascending
-    order, as Hypergraph stores them, so they hash, compare, serialize and
-    validate alike."""
+    """Keep a weak path's or cycle's vertices as a tuple of Python ints, by
+    the vertex rule (InputError otherwise), and its edges as tuples, each
+    edge's vertices in ascending order, as Hypergraph stores them, whatever
+    sequences they were given as, so they hash, compare, serialize and
+    validate alike. Edge entries are not converted: validate calls an edge
+    with a non-integer entry not an edge of H."""
     try:
         edges = tuple(tuple(sorted(e)) for e in obj.edges)
     except TypeError as exc:
         raise InputError(f"edges must be sequences of orderable vertices: {exc}") from exc
-    object.__setattr__(obj, "vertices", tuple(obj.vertices))
+    object.__setattr__(obj, "vertices", _vertex_ids(obj.vertices))
     object.__setattr__(obj, "edges", edges)
 
 
@@ -160,10 +162,9 @@ def _pair_covered(e: tuple[int, ...], u: int, v: int) -> bool:
 
 def _first_non_edge(edges, H: Hypergraph) -> int | None:
     """The index of the first of `edges` (ascending tuples) that is not a
-    row of H, or None, by one searchsorted of their `_row_keys` among H's.
-    numpy converts edges of d integers at once; an entry outside [0, n)
-    matches no row, as the rows hold only vertices (an entry of 2**63 or
-    more, held as uint64, wraps negative). Other edges go through
+    row of H, or None, by one `H._has_rows` lookup. numpy converts edges of
+    d integers at once; an entry outside [0, n) matches no row (an entry of
+    2**63 or more, held as uint64, wraps negative). Other edges go through
     `_edge_row` one at a time."""
     d = H.d
     try:
@@ -173,10 +174,7 @@ def _first_non_edge(edges, H: Hypergraph) -> int | None:
     if rows is None or rows.dtype.kind not in "biu" or rows.shape != (len(edges), d):
         end = min(H.n, 2**63)  # rows hold int64 vertices
         rows = np.array([_edge_row(e, d, end) for e in edges], dtype=np.int64).reshape(-1, d)
-    keys, known = _row_keys(rows), H._keys
-    pos = np.searchsorted(known, keys)
-    hit = pos < known.size
-    hit[hit] = known[pos[hit]] == keys[hit]
+    hit = H._has_rows(rows)
     return None if hit.all() else int(hit.argmin())
 
 
@@ -191,13 +189,12 @@ def _edge_row(e, d: int, end: int) -> list[int]:
     return row if len(row) == d and all(0 <= v < end for v in row) else [-1] * d
 
 
-def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult:
+def validate(obj, H: Hypergraph) -> ValidationResult:
     """Check a WeakPath/WeakCycle against its host hypergraph.
 
     Reports the first violated clause: distinct vertices, vertex range,
-    edge membership in E(H), consecutive-pair coverage, and —
-    only when strict_edges — pairwise-distinct edges (the strict Berge
-    variant; weak objects are allowed to repeat edges).
+    edge membership in E(H), consecutive-pair coverage. Weak objects may
+    repeat edges; a cycle's `has_distinct_edges` is the strict Berge check.
     """
     is_cycle = isinstance(obj, WeakCycle)
     if not is_cycle and not isinstance(obj, WeakPath):
@@ -218,8 +215,6 @@ def validate(obj, H: Hypergraph, strict_edges: bool = False) -> ValidationResult
             return ValidationResult(
                 False, f"edge {k} = {e} does not cover consecutive pair ({u}, {v})"
             )
-    if strict_edges and len(set(obj.edges)) != len(obj.edges):
-        return ValidationResult(False, "edges not distinct")
     return ValidationResult(True)
 
 
@@ -320,7 +315,7 @@ def posa_set(H: Hypergraph, P: WeakPath, v0: int) -> PosaSet:
         shadow.adj, masks, np.array(P.vertices, dtype=np.intp), pmask, pmask, P.h,
         close=False,
     )
-    reps = {w: P if w == P.last else lift_path(H, R) for w, R in res.reps.items()}
+    reps = {w: P if w == P.last else lift_path(H, R.tolist()) for w, R in res.reps.items()}
     endpoints = frozenset(reps)
     saturated = all(masks[w] & ~pmask == 0 for w in endpoints)
     nbrs = neighbors(H, endpoints)
@@ -378,18 +373,15 @@ def booster_edges(H: Hypergraph, P: WeakPath) -> frozenset[tuple[int, ...]]:
             f"booster enumeration over C({H.n - 1},{H.d - 1}) d-sets is too large"
         )
     base = posa_set(H, P, P.first)
-    out: set[tuple[int, ...]] = set()
-    edge_set = H.edge_set
-    universe = range(H.n)
+    found: set[tuple[int, ...]] = set()
     for w, rep in sorted(base.representatives.items()):
-        second = posa_set(H, rep.reversed(), w)
-        s_i = second.endpoints
-        for rest in combinations([v for v in universe if v != w], H.d - 1):
+        s_i = posa_set(H, rep.reversed(), w).endpoints
+        for rest in combinations([v for v in range(H.n) if v != w], H.d - 1):
             if any(x in s_i for x in rest):
-                e = tuple(sorted((w,) + rest))
-                if e not in edge_set:
-                    out.add(e)
-    return frozenset(out)
+                found.add(tuple(sorted((w,) + rest)))
+    cands = list(found)
+    present = H._has_rows(np.array(cands, dtype=np.int64).reshape(-1, H.d))
+    return frozenset(e for e, p in zip(cands, present.tolist()) if not p)
 
 
 @dataclass(frozen=True)
@@ -440,21 +432,21 @@ def _cover_edges(H: Hypergraph, us: np.ndarray, vs: np.ndarray) -> list[tuple[in
 def lift_path(H: Hypergraph, vseq) -> WeakPath:
     """Vertex sequence -> WeakPath, choosing for each consecutive pair the
     lexicographically smallest covering hyperedge."""
-    vseq = [int(v) for v in vseq]
+    vseq = _vertex_ids(vseq)
     vs = np.array(vseq, dtype=np.int64)
-    return WeakPath(tuple(vseq), tuple(_cover_edges(H, vs[:-1], vs[1:])))
+    return WeakPath(vseq, tuple(_cover_edges(H, vs[:-1], vs[1:])))
 
 
 def lift_cycle(H: Hypergraph, vseq) -> WeakCycle:
     """Vertex cycle (v0..v_{l-1}, wrap implied) -> WeakCycle, lex-smallest
     covering edge per pair."""
-    vseq = [int(v) for v in vseq]
+    vseq = _vertex_ids(vseq)
     if len(vseq) < 3:
         raise InputError("cycle too short")
     vs = np.array(vseq, dtype=np.int64)
     # edges[k] covers (v_{k-1}, v_k); cycle edges are 1-based e_1..e_l
     edges = _cover_edges(H, np.roll(vs, 1), vs)
-    return WeakCycle(tuple(vseq), tuple(edges[1:] + edges[:1]))
+    return WeakCycle(vseq, tuple(edges[1:] + edges[:1]))
 
 
 def _forced_edge_pruning(shadow: ShadowGraph, v1) -> tuple[str | None, list[int]]:
@@ -679,27 +671,25 @@ def stalled_path(
 
 def weak_to_json(obj: WeakPath | WeakCycle) -> str:
     """Serialize as an alternating array [v0, [e1...], v1, ...]; cycles close
-    the loop explicitly by repeating v0 after the final edge."""
-    seq: list = [obj.vertices[0]]
+    the loop explicitly by repeating v0 after the final edge. Edge entries
+    that are numpy integers are written as integers."""
     if isinstance(obj, WeakCycle):
-        for k in range(1, len(obj.vertices)):
-            seq.append(list(obj.edges[k - 1]))
-            seq.append(obj.vertices[k])
-        seq.append(list(obj.edges[-1]))
-        seq.append(obj.vertices[0])
-        doc = {
-            "kind": "cycle",
-            "sequence": seq,
-            "strict_edges": obj.has_distinct_edges,
-        }
+        doc = {"kind": "cycle", "strict_edges": obj.has_distinct_edges}
     elif isinstance(obj, WeakPath):
-        for k in range(1, len(obj.vertices)):
-            seq.append(list(obj.edges[k - 1]))
-            seq.append(obj.vertices[k])
-        doc = {"kind": "path", "sequence": seq}
+        doc = {"kind": "path"}
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    vs = obj.vertices
+    seq: list = [vs[0]]
+    # a path's edges run out before v0 comes round again; a cycle's last
+    # edge leads back to v0
+    for e, v in zip(obj.edges, vs[1:] + vs[:1]):
+        seq += (list(e), v)
+    doc["sequence"] = seq
+    try:
+        return json.dumps(doc, separators=(",", ":"), sort_keys=True, default=operator.index)
+    except TypeError as exc:
+        raise InputError(f"cannot serialize an edge entry: {exc}") from exc
 
 
 def weak_from_json(text: str) -> WeakPath | WeakCycle:

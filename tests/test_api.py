@@ -1,7 +1,7 @@
 """Public surface: every exported name resolves, in the package and in each
 submodule, and star-imports succeed; the package exports exactly the
 submodules' `__all__` lists. The package's checks are raises, never
-assert statements."""
+assert statements, and only hypercore looks rows up by their keys."""
 
 from __future__ import annotations
 
@@ -62,5 +62,20 @@ def test_package_has_no_assert_statements():
         for path in sorted(Path(weakham.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_only_hypercore_reads_row_keys():
+    # Hypergraph._has_rows is the one row lookup: no other module reads
+    # H._keys or builds `_row_keys` of its own
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(weakham.__file__).parent.glob("*.py"))
+        if path.name != "hypercore.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("_keys", "_row_keys"))
+        or (isinstance(node, ast.Name) and node.id == "_row_keys")
+        or (isinstance(node, ast.alias) and node.name == "_row_keys")
     ]
     assert found == []

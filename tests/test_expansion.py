@@ -265,11 +265,11 @@ def test_u_sampled_check_agrees_with_exact_on_true_value():
                 assert len(bad_chk.counterexample) == rep.u
 
 
-def _scalar_sampled_check(Hs, u_target, samples, rng, include_isolated):
+def _scalar_sampled_check(Hs, u_target, samples, rng):
     """Reference: the one-subset-at-a-time algorithm over int bitmasks
     (`combinations` scan of sizes 1 and 2, then sequential random draws,
     each hit shrunk in a fresh random order). Inputs are assumed valid."""
-    pool = list(range(Hs.n)) if include_isolated else list(non_isolated_vertices(Hs))
+    pool = list(non_isolated_vertices(Hs))
     if u_target <= 1 or not pool:
         return SampledCheck(ok=True, counterexample=None, samples_used=0)
     masks = Hs.shadow.adj_masks
@@ -332,18 +332,15 @@ def _sampled_check_cases(draw):
         draw(st.integers(min_value=0, max_value=9)),
         draw(st.integers(min_value=0, max_value=300)),
         SeededRng(draw(st.integers(min_value=0, max_value=10**6))),
-        draw(st.booleans()),
     )
 
 
 @settings(max_examples=200)
 @given(_sampled_check_cases())
 def test_u_sampled_check_matches_scalar_reference(case):
-    Hs, u_target, samples, rng, include_isolated = case
-    got = u_sampled_check(
-        Hs, u_target, samples, rng=rng, include_isolated=include_isolated
-    )
-    assert got == _scalar_sampled_check(Hs, u_target, samples, rng, include_isolated)
+    Hs, u_target, samples, rng = case
+    got = u_sampled_check(Hs, u_target, samples, rng=rng)
+    assert got == _scalar_sampled_check(Hs, u_target, samples, rng)
 
 
 def test_u_sampled_check_hit_after_first_chunk_matches_reference():
@@ -352,7 +349,7 @@ def test_u_sampled_check_hit_after_first_chunk_matches_reference():
     # to a 6-set along a path that depends on taking the first bad removal
     Hs = sample_gnp(GnpParams(24, 3, p_from_c(24, 3, 1)), SeededRng(9, 0))
     got = u_sampled_check(Hs, 8, 2000, rng=SeededRng(9, 1))
-    assert got == _scalar_sampled_check(Hs, 8, 2000, SeededRng(9, 1), False)
+    assert got == _scalar_sampled_check(Hs, 8, 2000, SeededRng(9, 1))
     assert got.samples_used - (24 + math.comb(24, 2)) > _SAMPLE_CHUNK
     assert got.counterexample == frozenset({1, 3, 4, 5, 10, 13})
     assert got.samples_used == 667
@@ -581,13 +578,13 @@ def _reference_walk(a, b, d, p, trials, rng):
 def test_greedy_probe_matches_the_walk(d, a, b, p, trials, seed):
     assume(a + b >= d)
     got = greedy_probe(a, b, d, p, trials, rng=SeededRng(seed))
-    assert got.successes == _reference_walk(a, b, d, p, trials, SeededRng(seed))
+    assert got == _reference_walk(a, b, d, p, trials, SeededRng(seed))
 
 
 def test_greedy_probe_matches_the_walk_across_batches():
     # 1408 candidates give batches of 2840 trials, so 3000 trials take two
     g = greedy_probe(8, 16, 3, 0.02, 3000, rng=SeededRng(4))
-    assert g.successes == _reference_walk(8, 16, 3, 0.02, 3000, SeededRng(4))
+    assert g == _reference_walk(8, 16, 3, 0.02, 3000, SeededRng(4))
 
 
 def test_mixed_candidates_are_the_filtered_d_sets():
@@ -602,12 +599,12 @@ def test_mixed_candidates_are_the_filtered_d_sets():
 
 def test_greedy_probe_certain_at_p_one():
     g = greedy_probe(4, 3, 3, 1.0, trials=5, rng=SeededRng(1))
-    assert g.successes == g.trials == 5
+    assert g == 5
 
 
 def test_greedy_probe_hopeless_at_p_zero():
     g = greedy_probe(4, 3, 3, 1e-9, trials=5, rng=SeededRng(1))
-    assert g.successes == 0
+    assert g == 0
 
 
 def test_greedy_probe_rejects_bad_parameters():
@@ -622,7 +619,7 @@ def test_greedy_probe_rejects_bad_parameters():
 def test_greedy_probe_refuses_too_many_candidates_before_enumerating(monkeypatch):
     # a = 4, b = 3, d = 3: C(7, 3) - C(4, 3) - C(3, 3) = 30 mixed candidates
     monkeypatch.setattr(expansion, "_PROBE_ENUM_LIMIT", 30)
-    assert greedy_probe(4, 3, 3, 1.0, trials=2, rng=SeededRng(0)).successes == 2
+    assert greedy_probe(4, 3, 3, 1.0, trials=2, rng=SeededRng(0)) == 2
     monkeypatch.setattr(expansion, "_PROBE_ENUM_LIMIT", 29)
 
     def enumerate_nothing(a, b, d):
@@ -636,7 +633,7 @@ def test_greedy_probe_refuses_too_many_candidates_before_enumerating(monkeypatch
 @pytest.mark.parametrize("b", [63, 64, 70])
 @pytest.mark.parametrize("p", [0.9, 0.02])
 def test_greedy_probe_has_no_cap_on_b(b, p):
-    got = greedy_probe(3, b, 3, p, trials=20, rng=SeededRng(0)).successes
+    got = greedy_probe(3, b, 3, p, trials=20, rng=SeededRng(0))
     assert got == _reference_walk(3, b, 3, p, 20, SeededRng(0))
     if p == 0.9:
         assert got == 20
@@ -651,7 +648,7 @@ def test_greedy_probe_deterministic():
 def test_greedy_probe_rate_within_closed_form_bound():
     a, b, d, p, trials = 6, 6, 3, 0.02, 10_000
     g = greedy_probe(a, b, d, p, trials=trials, rng=SeededRng(5))
-    rate = g.successes / trials
+    rate = g / trials
     bound = pab_bound_exact(a, b, d, 1.0 - p)
     sigma = (bound * (1 - bound) / trials) ** 0.5
     assert rate <= bound + 3 * sigma

@@ -143,6 +143,26 @@ def test_neighbors_out_of_range():
         neighbors(H(3, 3, [(0, 1, 2)]), {5})
 
 
+def test_vertex_queries_refuse_non_integer_vertices():
+    # a vertex is an integer operator.index accepts, not a bool: floats,
+    # even integral ones, raised a raw TypeError or IndexError here
+    h = H(5, 3, [(0, 1, 2), (1, 2, 3)])
+    for call in (lambda: degree(h, 1.5), lambda: degree(h, True),
+                 lambda: neighbors(h, [1.0]), lambda: induced(h, [0, 1, 2.0]),
+                 lambda: is_connected_on(h, [0, 1.5]), lambda: is_connected_on(h, ["0"])):
+        with pytest.raises(InputError, match="is not an integer"):
+            call()
+
+
+def test_vertex_queries_take_numpy_integers_as_ints():
+    # 1 << np.int64(70) is a numpy shift, which overflowed in neighbors
+    h = H(100, 3, [(0, 1, 70), (70, 71, 72)])
+    assert neighbors(h, [np.int64(70)]) == frozenset({0, 1, 71, 72})
+    assert degree(h, np.int64(70)) == 2
+    assert induced(h, np.array([70, 71, 72])).edges == ((70, 71, 72),)
+    assert is_connected_on(h, np.array([0, 1, 70]))
+
+
 @given(hypergraphs(max_n=10, ds=(2, 3, 4)), st.data())
 def test_neighbors_match_edge_scan(h, data):
     V = data.draw(vertex_subsets(h.n))

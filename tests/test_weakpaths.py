@@ -7,6 +7,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,37 @@ def test_weak_objects_store_lists_as_tuples():
         WeakPath((0, 1), (5,))
 
 
+def test_weak_objects_refuse_non_integer_vertices():
+    # a vertex is an integer operator.index accepts, not a bool: 1.0 and
+    # True used to validate and then write JSON that weak_from_json refuses,
+    # and a string made validate raise a raw TypeError
+    for vs in ((0, 1.0), (True, 2), ("0", 1), (0, None)):
+        with pytest.raises(InputError, match="is not an integer"):
+            WeakPath(vs, ((0, 1, 2),))
+    with pytest.raises(InputError, match="vertex 1.0 is not an integer"):
+        WeakCycle((0, 1.0, 2), ((0, 1, 2),) * 3)
+
+
+def test_weak_objects_store_numpy_vertices_as_ints():
+    P = WeakPath(np.array([0, 1]), ((0, 1, 2),))
+    assert P.vertices == (0, 1) and all(type(v) is int for v in P.vertices)
+    assert weak_to_json(P) == '{"kind":"path","sequence":[0,[0,1,2],1]}'
+    C = WeakCycle((np.int64(0), np.uint8(1), 2), ((0, 1, 2),) * 3)
+    assert all(type(v) is int for v in C.vertices)
+    assert weak_from_json(weak_to_json(C)) == C
+
+
+def test_weak_json_writes_numpy_edge_entries_as_ints():
+    # numpy ints are not JSON serializable; edge entries are kept as given
+    e = tuple(np.array([0, 1, 2]))
+    P = WeakPath((0, 1), (e,))
+    assert validate(P, PATH_H).ok
+    assert weak_to_json(P) == '{"kind":"path","sequence":[0,[0,1,2],1]}'
+    assert weak_from_json(weak_to_json(P)) == P
+    with pytest.raises(InputError, match="cannot serialize an edge entry"):
+        weak_to_json(WeakPath((0, 1), ((0, Fraction(1), 2),)))
+
+
 def test_weak_objects_store_each_edge_sorted():
     # Hypergraph stores each edge sorted, so weak objects must too: else
     # (2, 1, 0) is "not an edge of H", and one edge listed three ways counts
@@ -127,7 +159,7 @@ def test_weak_objects_store_each_edge_sorted():
     assert validate(P, Hl).ok
     C = WeakCycle((0, 1, 2), ((0, 1, 2), (2, 1, 0), (1, 0, 2)))
     assert C.edges == ((0, 1, 2),) * 3 and not C.has_distinct_edges
-    assert not validate(C, Hl, strict_edges=True).ok
+    assert validate(C, Hl).ok
     # only the unsorted edge moves; ragged widths are sorted edge by edge
     mixed = WeakPath((0, 1, 3), ((0, 1, 2), (3, 1, 0)))
     assert mixed.edges == ((0, 1, 2), (0, 1, 3)) and validate(mixed, Hl).ok
@@ -185,9 +217,9 @@ def test_validate_cycle_edge_reuse_allowed():
 
 def test_validate_strict_rejects_reuse():
     C = WeakCycle((1, 2, 3), ((1, 2, 3), (1, 2, 3), (1, 2, 3)))
-    res = validate(C, PATH_H, strict_edges=True)
-    assert not res.ok
-    assert res.violation == "edges not distinct"
+    # a weak cycle may reuse an edge; the strict Berge check is separate
+    assert validate(C, PATH_H).ok
+    assert not C.has_distinct_edges
 
 
 def test_validate_cycle_wrap_pair():
@@ -201,7 +233,7 @@ def test_validate_cycle_wrap_pair():
     assert "does not cover consecutive pair (4, 0)" in res.violation
 
 
-def _reference_validate(obj, Hs, strict_edges=False):
+def _reference_validate(obj, Hs):
     """validate as it was before its membership check used searchsorted: a
     per-edge loop over the frozenset of H's edge tuples."""
     vs = obj.vertices
@@ -210,8 +242,9 @@ def _reference_validate(obj, Hs, strict_edges=False):
     for v in vs:
         if not (0 <= v < Hs.n):
             return ValidationResult(False, f"vertex {v} out of range [0, {Hs.n})")
+    edge_set = frozenset(Hs.edges)
     for k, e in enumerate(obj.edges):
-        if e not in Hs.edge_set:
+        if e not in edge_set:
             return ValidationResult(False, f"edge {k} = {e} is not an edge of H")
     cycle = isinstance(obj, WeakCycle)
     for k, e in enumerate(obj.edges):
@@ -220,8 +253,6 @@ def _reference_validate(obj, Hs, strict_edges=False):
             return ValidationResult(
                 False, f"edge {k} = {e} does not cover consecutive pair ({u}, {v})"
             )
-    if strict_edges and len(set(obj.edges)) != len(obj.edges):
-        return ValidationResult(False, "edges not distinct")
     return ValidationResult(True)
 
 
@@ -263,10 +294,10 @@ def _json_witnesses(draw):
 
 
 @settings(max_examples=300)
-@given(_json_witnesses(), st.booleans())
-def test_validate_matches_the_edge_set_loop(case, strict):
+@given(_json_witnesses())
+def test_validate_matches_the_edge_set_loop(case):
     Hs, W = case
-    assert validate(W, Hs, strict) == _reference_validate(W, Hs, strict)
+    assert validate(W, Hs) == _reference_validate(W, Hs)
 
 
 def test_validate_refuses_non_integer_entries():
@@ -447,7 +478,7 @@ def test_booster_edges_complete_on_support_touch_outside():
     out = booster_edges(Hc, P)
     assert out
     assert all(4 in e for e in out)
-    assert all(e not in Hc.edge_set for e in out)
+    assert out.isdisjoint(Hc.edges)
 
 
 def test_booster_edges_disjoint_sorted_valid():
@@ -459,8 +490,33 @@ def test_booster_edges_disjoint_sorted_valid():
     for e in out:
         assert e == tuple(sorted(e))
         assert len(e) == 3
-        assert e not in Hs.edge_set
+        assert e not in Hs.edges
         assert all(0 <= v < 12 for v in e)
+
+
+def _reference_booster_edges(Hs, P):
+    """booster_edges as it was before its membership test searched H's
+    rows: each candidate looked up in the frozenset of H's edge tuples."""
+    edge_set = frozenset(Hs.edges)
+    out = set()
+    for w, rep in sorted(posa_set(Hs, P, P.first).representatives.items()):
+        s_i = posa_set(Hs, rep.reversed(), w).endpoints
+        for rest in combinations([v for v in range(Hs.n) if v != w], Hs.d - 1):
+            if any(x in s_i for x in rest):
+                e = tuple(sorted((w,) + rest))
+                if e not in edge_set:
+                    out.add(e)
+    return frozenset(out)
+
+
+@settings(max_examples=150)
+@given(hypergraphs(min_n=3, max_n=9, ds=(2, 3, 4), min_edges=1),
+       st.integers(0, 2**16))
+def test_booster_edges_match_the_edge_set_loop(Hs, seed):
+    P = stalled_path(Hs, rng=SeededRng(seed))
+    if P.h < 2:
+        return
+    assert booster_edges(Hs, P) == _reference_booster_edges(Hs, P)
 
 
 def test_booster_edges_meet_bound_and_create_longer_cycles():
@@ -548,7 +604,7 @@ def test_search_complete_graphs_over_sizes():
         out = rotation_extension_search(Hc, rng=SeededRng(n))
         assert out.complete and out.restarts == 0
         assert out.cycle.length == n
-        assert validate(out.cycle, Hc, strict_edges=False).ok
+        assert validate(out.cycle, Hc).ok
 
 
 def test_search_reports_spent_restarts():
@@ -759,7 +815,19 @@ def test_lift_cycle_wraps_and_may_reuse():
     assert C.vertices == (1, 2, 3)
     assert C.edges == ((0, 1, 2), (1, 2, 3), (1, 2, 3))
     assert validate(C, PATH_H).ok
-    assert not validate(C, PATH_H, strict_edges=True).ok
+    assert not C.has_distinct_edges
+
+
+def test_lift_refuses_non_integer_vertices():
+    # int() truncated: [0, 1.7] was lifted as the path through (0, 1)
+    with pytest.raises(InputError, match="vertex 1.7 is not an integer"):
+        lift_path(PATH_H, [0, 1.7])
+    with pytest.raises(InputError, match="vertex 1.2 is not an integer"):
+        lift_cycle(PATH_H, [0, 1.2, 2.9])
+    with pytest.raises(InputError, match="vertex True is not an integer"):
+        lift_path(PATH_H, [True, 2])
+    P = lift_path(PATH_H, np.array([0, 1, 3]))
+    assert P == lift_path(PATH_H, [0, 1, 3]) and all(type(v) is int for v in P.vertices)
 
 
 def test_lift_rejects_uncovered_pair():
