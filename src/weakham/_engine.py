@@ -64,26 +64,23 @@ class ClosureResult:
 
 def _grow(adj, adj_masks, w, free, draw):
     """Greedy extension from the end vertex `w` into the `free` bitmask:
-    a lone candidate is taken without a draw; among several, r is drawn in
-    [0, popcount) of the candidate mask and the walk along `adj[w]` takes
-    the r-th candidate in adjacency order (not vertex order). `draw` is the
-    search's `randmodels._bounded_draws`, reading raw PCG64 words. Returns
-    the grown vertices and what is left of `free`."""
+    every step draws r in [0, popcount) of the candidate mask and the walk
+    along `adj[w]` takes the r-th candidate in adjacency order (not vertex
+    order). `draw` is the search's `randmodels._bounded_draws`, reading raw
+    PCG64 words; a lone candidate draws 0 without reading a word, as numpy
+    does. Returns the grown vertices and what is left of `free`."""
     grown = []
     while True:
         cands = adj_masks[w] & free
         if not cands:
             return grown, free
-        if cands & (cands - 1):
-            r = draw(cands.bit_count())
-            for x in adj[w]:
-                if (cands >> x) & 1:
-                    if not r:
-                        break
-                    r -= 1
-            w = x
-        else:
-            w = cands.bit_length() - 1
+        r = draw(cands.bit_count())
+        for x in adj[w]:
+            if (cands >> x) & 1:
+                if not r:
+                    break
+                r -= 1
+        w = x
         grown.append(w)
         free ^= 1 << w
 
@@ -144,8 +141,6 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
     if hit is not None:
         return _hit_result(path, hit, 0)
     reps = {path.item(-1): path}
-    if h < 2:
-        return ClosureResult("stall", reps=reps, rotations=0)
     pos = np.empty(len(adj), dtype=np.intp)
     order = np.arange(h + 1, dtype=np.intp)
     queue = deque()

@@ -34,8 +34,7 @@ import numpy as np
 from .errors import CapabilityError, InputError
 from .hypercore import (
     Hypergraph,
-    _bit_words,
-    _check_mask_words,
+    _shadow_words,
     is_connected_on,
     neighbors,
     non_isolated_vertices,
@@ -135,19 +134,6 @@ _SCAN_CHUNK = 1 << 14
 # of running Floyd's algorithm when k > _TAIL_POOL and s > k // _TAIL_SHARE
 _TAIL_POOL = 10_000
 _TAIL_SHARE = 50
-
-
-def _shadow_words(H: Hypergraph) -> np.ndarray:
-    """The shadow's bitmasks as (n+1) x (n // 64 + 1) uint64 words: bit w of
-    row v is set iff v ~ w. Row n is all zero and bit n exists, so vertex n
-    serves as padding in index matrices. Packed straight from the covered
-    pairs, so the words are the only n x n/64 array built; CapabilityError
-    above _SHADOW_WORD_LIMIT, as for the shadow."""
-    n = H.n
-    _check_mask_words(n)
-    codes, _ = H._pairs
-    u, v = np.divmod(codes, n)
-    return _bit_words(n, np.concatenate((u, v)), np.concatenate((v, u)), n + 1)
 
 
 def _non_expanding(words: np.ndarray, idx: np.ndarray, sizes) -> np.ndarray:

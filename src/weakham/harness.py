@@ -469,23 +469,20 @@ def _poisson_table(cfg: ExperimentConfig) -> Table:
         )
         # chi-square with tail pooling: merge bins upward until every pooled
         # bin expects at least 5 samples; the final bin absorbs the tail mass
-        edges: list[tuple[int, float, int]] = []  # (k_start, expected, observed)
-        acc_e, acc_o, k_start = 0.0, 0, 0
+        edges: list[tuple[float, int]] = []  # (expected, observed)
+        acc_e, acc_o = 0.0, 0
         for k in range(kmax + 1):
             acc_e += pmf[k] * cfg.trials
             acc_o += hist[k]
             if acc_e >= 5.0:
-                edges.append((k_start, acc_e, acc_o))
-                acc_e, acc_o, k_start = 0.0, 0, k + 1
+                edges.append((acc_e, acc_o))
+                acc_e, acc_o = 0.0, 0
         tail_e = acc_e + max(tail, 0.0) * cfg.trials
-        tail_o = acc_o
-        if edges and tail_e > 0:
-            k0, e0, o0 = edges[-1]
-            edges[-1] = (k0, e0 + tail_e, o0 + tail_o)
-        elif tail_e >= 5.0:
-            edges.append((k_start, tail_e, tail_o))
+        if edges:
+            e0, o0 = edges[-1]
+            edges[-1] = (e0 + tail_e, o0 + acc_o)
         if len(edges) >= 2:
-            stat = sum((o - e) ** 2 / e for _, e, o in edges)
+            stat = sum((o - e) ** 2 / e for e, o in edges)
             dof = len(edges) - 1
             pvalue = float(chdtrc(dof, stat))
         else:

@@ -19,8 +19,9 @@ are a `bincount`. Every edge contributes its C(d, 2) pairs as codes u*n + v
 the covered pairs in order together with the first position of each; that
 position over C(d, 2) is the lexicographically smallest edge covering the
 pair, the edge a shadow path is lifted through. The shadow's adjacency
-lists are split from the sorted symmetric pairs, and its bitmasks are
-packed from them as uint64 words.
+lists are split from the sorted symmetric pairs; its bitmasks are packed
+once from the covered pairs as uint64 words, which expansion reads as they
+are and the shadow as ints.
 
 Neighborhoods and connectivity are read off those bitmasks: N(V) is the OR
 of the masks of V less V, and every connectivity question in the package
@@ -269,8 +270,7 @@ def _vertex_id(v) -> int:
 
 def _vertex_ids(vs) -> tuple[int, ...]:
     """The vertices vs as a tuple of Python ints, by the vertex rule."""
-    vs = tuple(vs)
-    return vs if all(type(v) is int for v in vs) else tuple(map(_vertex_id, vs))
+    return tuple(map(_vertex_id, vs))
 
 
 def _check_vertex(H: Hypergraph, v) -> int:
@@ -328,14 +328,27 @@ def shadow_graph(H: Hypergraph) -> ShadowGraph:
     Raises CapabilityError, before allocating, when the packed bitmasks
     would take more than _SHADOW_WORD_LIMIT."""
     n = H.n
-    _check_mask_words(n)
+    words = _shadow_words(H)
     codes, _ = H._pairs
     u, v = np.divmod(codes, n)
     src, dst = np.divmod(np.sort(np.concatenate((codes, v * n + u))), n)
     flat = dst.tolist()
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     adj = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
-    return ShadowGraph(n=n, adj=adj, adj_masks=_bit_rows(n, src, dst))
+    return ShadowGraph(n=n, adj=adj, adj_masks=_word_ints(words[:n]))
+
+
+def _shadow_words(H: Hypergraph) -> np.ndarray:
+    """The shadow's bitmasks as (n+1) x (n // 64 + 1) uint64 words, the one
+    packing of the shadow: bit w of row v is set iff v ~ w. Row n is all
+    zero and bit n exists, so vertex n serves as padding in the index
+    matrices of expansion; `shadow_graph` reads rows 0..n-1 as ints.
+    CapabilityError, before allocating, above _SHADOW_WORD_LIMIT."""
+    n = H.n
+    _check_mask_words(n)
+    codes, _ = H._pairs
+    u, v = np.divmod(codes, n)
+    return _bit_words(n, np.concatenate((u, v)), np.concatenate((v, u)), n + 1)
 
 
 def _check_mask_words(n: int) -> None:
@@ -357,11 +370,10 @@ def _bit_words(n: int, src: np.ndarray, dst: np.ndarray, rows: int) -> np.ndarra
     return packed.reshape(rows, words)
 
 
-def _bit_rows(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...]:
-    """Row v of the n x n bit matrix with bit dst[i] set in row src[i], for
-    each v, as an int."""
-    buf = _bit_words(n, src, dst, n).tobytes()
-    step = 8 * (n // 64 + 1)
+def _word_ints(words: np.ndarray) -> tuple[int, ...]:
+    """Each row of a matrix of little-endian uint64 words as an int."""
+    buf = words.tobytes()
+    step = 8 * words.shape[1]
     return tuple(int.from_bytes(buf[i:i + step], "little") for i in range(0, len(buf), step))
 
 
@@ -436,7 +448,7 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
     rows = rows[(rows >= 0).all(axis=1)]
     a, b = np.triu_indices(H.d, 1)
     u, v = rows[:, a].ravel(), rows[:, b].ravel()
-    masks = _bit_rows(k, np.concatenate((u, v)), np.concatenate((v, u)))
+    masks = _word_ints(_bit_words(k, np.concatenate((u, v)), np.concatenate((v, u)), k))
     return _reach(masks, 1).bit_count() == k
 
 

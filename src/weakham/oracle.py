@@ -96,7 +96,7 @@ def _dp_cycle(adj_masks, n: int, ell: int) -> list[int] | None:
     for a in range(n - ell + 1):
         k = n - a
         sub = [(adj_masks[a + i] >> a) for i in range(k)]
-        dp = _bitdp.endpoints(sub, k, 1, ell)
+        dp = _bitdp.endpoints(sub, k, ell)
         T = _bitdp.layer(k, ell)
         found = T[(dp[T] & sub[0]) != 0]
         if found.size:
@@ -230,8 +230,6 @@ def weak_cycle_of_length(H: Hypergraph, ell: int) -> WeakCycle | None:
         raise CapabilityError(
             f"cycle-length probe handles n <= {DP_MAX_VERTICES}, got n = {H.n}"
         )
-    if ell > H.n:
-        return None
     cyc = _dp_cycle(H.shadow.adj_masks, H.n, ell)
     if cyc is None:
         return None

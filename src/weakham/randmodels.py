@@ -279,6 +279,7 @@ def _sample_distinct_rows(
         for col in cols[1:]:
             code = code * n + col
         parts.append(code[ok])
+        # kept: always concatenating read poisson-n2000 about 8% slower (8 of 8 pairs)
         codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
         first = _first_occurrences(codes)
         if first.size >= k:
@@ -299,7 +300,7 @@ def _first_occurrences(codes: np.ndarray) -> np.ndarray:
     """codes with every repeat after its first occurrence removed, in order."""
     s = np.sort(codes)
     repeated = s[1:][s[1:] == s[:-1]]
-    if repeated.size == 0:
+    if repeated.size == 0:  # kept: resolving zero repeats read poisson-n2000 ~10% slower
         return codes
     at = np.flatnonzero(np.isin(codes, repeated))
     values = np.unique(repeated)

@@ -43,8 +43,8 @@ from weakham.expansion import (
     _first_hit,
     _mixed_candidates,
     _replay_draws,
-    _shadow_words,
 )
+from weakham.hypercore import _shadow_words
 
 from conftest import complete_hypergraph, hypergraphs
 

@@ -471,6 +471,13 @@ def test_lift_rejects_out_of_range_pairs():
         lift_path(h, [0, 6])
     with pytest.raises(InputError, match=r"pair \(-1, 2\) is not covered"):
         lift_path(h, [-1, 2])
+    # beyond int64 the conversion raised a raw OverflowError
+    with pytest.raises(InputError, match=rf"pair \(0, {2**63}\) is not covered"):
+        lift_path(h, [0, 2**63])
+    with pytest.raises(InputError, match=rf"pair \({-(2**63) - 1}, 1\) is not covered"):
+        lift_path(h, [-(2**63) - 1, 1])
+    with pytest.raises(InputError, match=rf"pair \({2**64}, 1\) is not covered"):
+        lift_cycle(h, [1, 2, 2**64])
 
 
 @pytest.mark.parametrize(

@@ -618,6 +618,17 @@ def test_search_reports_spent_restarts():
         assert 0 <= out.restarts <= 4
 
 
+def test_search_builds_its_generator_only_for_the_engine(monkeypatch):
+    built = []
+    make = SeededRng.generator
+    monkeypatch.setattr(SeededRng, "generator", lambda self: built.append(self) or make(self))
+    chain = H(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+    assert rotation_extension_search(chain, rng=SeededRng(1)).impossible is not None
+    assert built == []
+    assert rotation_extension_search(petersen(), rng=SeededRng(1)).rotations > 0
+    assert built == [SeededRng(1)]
+
+
 def test_search_certifies_forced_edge_obstructions():
     # vertices 0, 1 (and 3, 5, 6) have two shadow neighbors each, so vertex 2
     # lies on three forced edges
