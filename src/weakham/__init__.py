@@ -6,8 +6,8 @@ questions therefore reduce to the shadow graph, which the whole package
 exploits. The library samples the binomial and fixed-size random d-uniform
 models, decides weak Hamiltonicity exactly on small instances and
 heuristically via rotation-extension at scale, analyzes non-expanding vertex
-sets and booster edges, and runs reproducible threshold experiments against
-the limit law exp(-exp(-c)).
+sets, and runs reproducible threshold experiments against the limit law
+exp(-exp(-c)).
 """
 
 # each star import also binds its submodule, read by __all__ below

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["endpoints", "layer"]
+__all__ = ["endpoints"]
 
 
 @lru_cache(maxsize=None)
@@ -32,10 +32,9 @@ def layer(n: int, k: int) -> np.ndarray:
     return order[offsets[k] : offsets[k + 1]]
 
 
-def endpoints(adj, n: int, cap: int) -> np.ndarray:
+def endpoints(adj, n: int) -> np.ndarray:
     """dp[S] = bitmask of the vertices v such that some simple path with
-    vertex set exactly S starts at vertex 0 and ends at v. Only subsets
-    with popcount <= cap are filled; the rest stay 0.
+    vertex set exactly S starts at vertex 0 and ends at v.
 
     Layer k is pulled from layer k-1: w ends a path on T iff w is in T and
     dp[T ^ {w}] holds a neighbour of w. When T lacks w, T ^ {w} lies in
@@ -44,7 +43,7 @@ def endpoints(adj, n: int, cap: int) -> np.ndarray:
     adj = np.asarray(adj, dtype=np.int64)
     dp = np.zeros(1 << n, dtype=np.int64)
     dp[1] = 1
-    for k in range(2, min(cap, n) + 1):
+    for k in range(2, n + 1):
         T = layer(n, k)
         acc = np.zeros(T.size, dtype=np.int64)
         for w in range(n):

@@ -2,8 +2,8 @@
 
 Works purely at the graph level (vertex ints, adjacency tuples, bitmask
 membership); used by weakpaths for spanning-cycle search on the shadow
-graph, for the stalled long paths of stalled_path and for the rotation
-closures of posa_set. Lifting vertex sequences back to weak paths/cycles
+graph. The tests also run it without `close`, for stalled long paths and
+whole rotation closures. Lifting vertex sequences back to weak paths/cycles
 with concrete hyperedges happens in weakpaths, not here.
 
 The core move set mirrors the classic rotation-extension loop:

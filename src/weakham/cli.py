@@ -100,7 +100,7 @@ def _cmd_gen(args) -> int:
 def _cmd_check(args) -> int:
     H = load_hypergraph(args.infile)
     if args.mode == "exact":
-        verdict = exact_weak_hamiltonian(H, method="dp")
+        verdict = exact_weak_hamiltonian(H)
         print(verdict.to_json())
         return 0
     budget = args.budget if args.budget > 0 else None

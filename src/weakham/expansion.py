@@ -2,8 +2,8 @@
 
 A vertex set A is non-expanding when its external neighborhood is small:
 |N(A)| < 2|A|. The quantity u(H) — the size of the smallest non-expanding
-set of non-isolated vertices, or |V1|+1 when none exists — controls how many
-absent "booster" d-sets every longest path generates, so the module pairs
+set of non-isolated vertices, or |V1|+1 when none exists — bounds how many
+absent d-sets would close a longest path into a weak cycle, so the module pairs
 exhaustive and randomized searches for such sets with structural predicates
 (connectedness of A together with its neighborhood for minimal A). Both
 searches test their sets with one kernel, `_non_expanding`, over the
@@ -44,7 +44,6 @@ from .randmodels import SeededRng, _bounded, _uint32_words
 __all__ = [
     "ExpansionReport",
     "SampledCheck",
-    "is_non_expanding",
     "u_exact",
     "u_sampled_check",
     "minimal_nonexpanding_connected",
@@ -54,16 +53,6 @@ __all__ = [
 ]
 
 U_EXACT_MAX_V1 = 22
-
-
-def is_non_expanding(H: Hypergraph, A: Iterable[int]) -> bool:
-    """|N(A)| < 2|A| with N the external neighborhood. The empty set is
-    expanding by convention (0 < 0 fails)."""
-    A = frozenset(A)
-    for v in A:
-        if not (0 <= v < H.n):
-            raise InputError(f"vertex {v} out of range [0, {H.n})")
-    return len(neighbors(H, A)) < 2 * len(A)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ reuse hyperedges, only *pair coverage* matters for path/cycle questions. Two
 vertices are "shadow-adjacent" iff some hyperedge contains both, and a weak
 cycle spanning a vertex set W exists iff the shadow graph restricted to W has
 an ordinary graph Hamilton cycle on W. Path and cycle machinery therefore
-consults the shadow; degree/expansion/booster machinery consults the
+consults the shadow; degree and expansion machinery consults the
 hyperedges themselves.
 
 Vertices are 0-based contiguous ids. A hypergraph stores its edges once, as

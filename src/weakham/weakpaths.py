@@ -1,24 +1,11 @@
-"""Weak Berge paths and cycles, rotations, Pósa closures, booster edges,
-and rotation-extension search.
+"""Weak Berge paths and cycles, their validation and lifts, and
+rotation-extension search with its "no" certificate.
 
 A weak path alternates distinct vertices with hyperedges, where consecutive
 vertices must lie together in the connecting edge; edges may repeat. A weak
 cycle is the closed variant with at least 3 vertices. Because repetition is
 allowed, existence questions reduce to the shadow graph, but the objects
 here carry concrete hyperedges so every result is a checkable witness.
-
-The rotation of a path P = (v0, e1, v1, ..., eh, vh) by an edge e containing
-vh and some interior v_i (0 <= i <= h-2) is
-
-    P' = (v0, e1, ..., e_i, v_i, e, vh, e_h, v_{h-1}, ..., e_{i+2}, v_{i+1})
-
-— the suffix after v_i is reversed and re-entered through e, keeping the
-vertex set and the start fixed while moving the endpoint to v_{i+1}. (The
-edge between vh and v_{h-1} is e_h: the suffix edges shift down by one
-relative to the suffix vertices after reversal; an index-shifted variant
-would break the coverage invariant.) Iterating rotations from a fixed start
-yields the Pósa set S of reachable endpoints; for genuinely non-extendable
-paths, |N(S)| < 2|S|.
 """
 
 from __future__ import annotations
@@ -26,16 +13,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _engine
-from .errors import CapabilityError, InputError
-from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, _vertex_ids, neighbors,
+from .errors import InputError
+from .hypercore import (Hypergraph, ShadowGraph, _members, _reach, _vertex_ids,
                         non_isolated_vertices)
 from .randmodels import SeededRng
 
@@ -43,15 +27,9 @@ __all__ = [
     "WeakPath",
     "WeakCycle",
     "ValidationResult",
-    "PosaSet",
     "SearchOutcome",
     "validate",
-    "rotate",
-    "posa_set",
-    "booster_edges",
-    "booster_lower_bound",
     "rotation_extension_search",
-    "stalled_path",
     "lift_path",
     "lift_cycle",
     "weak_to_json",
@@ -231,157 +209,6 @@ def _check_witness(cycle: WeakCycle, H: Hypergraph, size: int) -> WeakCycle:
     if violation is not None:
         raise AssertionError(f"invalid witness cycle: {violation}")
     return cycle
-
-
-def rotate(P: WeakPath, e: tuple[int, ...], i: int) -> WeakPath:
-    """Rotate P by edge e at pivot index i: reverse the suffix after v_i and
-    attach it through e. Requires v_h in e, v_i in e, and 0 <= i <= h-2; the
-    endpoint becomes v_{i+1} and the vertex set and start are unchanged.
-
-    e may coincide with an edge already on the path (repetition is the point
-    of weak objects). Membership of e in the host hypergraph is the caller's
-    contract, as the path does not carry its host.
-    """
-    h = P.h
-    if not (0 <= i <= h - 2):
-        raise InputError(f"pivot index {i} outside [0, {h - 2}] for a path of length {h}")
-    vh = P.vertices[-1]
-    vi = P.vertices[i]
-    if vh not in e:
-        raise InputError(f"rotation edge {e} does not contain the endpoint {vh}")
-    if vi not in e:
-        raise InputError(f"rotation edge {e} does not contain the pivot vertex {vi}")
-    new_vertices = P.vertices[: i + 1] + P.vertices[:i:-1]
-    # edges after the pivot: e_h, e_{h-1}, ..., e_{i+2}  (stored indices h-1 .. i+1)
-    new_edges = P.edges[:i] + (e,) + P.edges[h - 1 : i : -1]
-    return WeakPath(new_vertices, new_edges)
-
-
-@dataclass(frozen=True)
-class PosaSet:
-    """Rotation closure of a base path with its start fixed.
-
-    endpoints: every endpoint reachable by rotations (the start excluded).
-    representatives: one witnessing path per endpoint (same vertex set as the
-    base, same start).
-    saturated: True iff every discovered endpoint has all its neighbors
-    inside the path's vertex set — the hypothesis under which the Pósa
-    inequality |N(S)| < 2|S| is guaranteed (and asserted at construction).
-    posa_inequality: whether |N(S)| < 2|S| held, recorded either way.
-    """
-
-    v0: int
-    base: WeakPath
-    endpoints: frozenset[int]
-    representatives: Mapping[int, WeakPath] = field(repr=False)
-    saturated: bool
-    posa_inequality: bool
-
-
-def posa_set(H: Hypergraph, P: WeakPath, v0: int) -> PosaSet:
-    """Breadth-first rotation closure of P fixing the start v0, walked by
-    the rotation engine's closure scan on the shadow graph.
-
-    v0 must be an endpoint of P (the path is reversed internally if it is the
-    last vertex). The base path is kept as given; every other representative
-    is lifted by lift_path, through the lexicographically smallest hyperedge
-    covering each consecutive pair. So when P itself uses a covering edge
-    that is not the smallest, the other representatives use the smallest one
-    instead (paths from stalled_path or lift_path already do).
-
-    When the closure is saturated (no discovered endpoint can leave the
-    path's vertex set — true whenever P really is a longest path), the Pósa
-    inequality |N(S)| < 2|S| is asserted; for unsaturated inputs it is only
-    recorded, since the inequality's hypothesis does not hold.
-    """
-    vres = validate(P, H)
-    if not vres.ok:
-        raise InputError(f"base path invalid: {vres.violation}")
-    if P.h < 1:
-        raise InputError("path too short for a rotation closure (need h >= 1)")
-    if v0 == P.last and v0 != P.first:
-        P = P.reversed()
-    if v0 != P.first:
-        raise InputError(f"v0={v0} is not an endpoint of the path")
-    pmask = 0
-    for v in P.vertices:
-        pmask |= 1 << v
-    shadow = H.shadow
-    masks = shadow.adj_masks
-    # no target vertex lies off the path, so no endpoint can extend, and a
-    # closure has at most h endpoints, so the allowance of h rotations never
-    # runs out: the scan always ends in "stall" with the full closure
-    res = _engine.closure_scan(
-        shadow.adj, masks, np.array(P.vertices, dtype=np.intp), pmask, pmask, P.h,
-        close=False,
-    )
-    reps = {w: P if w == P.last else lift_path(H, R.tolist()) for w, R in res.reps.items()}
-    endpoints = frozenset(reps)
-    saturated = all(masks[w] & ~pmask == 0 for w in endpoints)
-    nbrs = neighbors(H, endpoints)
-    inequality = len(nbrs) < 2 * len(endpoints)
-    if saturated and not inequality:
-        raise AssertionError(
-            f"Posa inequality violated on a saturated closure: |N(S)| = {len(nbrs)}, "
-            f"2|S| = {2 * len(endpoints)}"
-        )
-    return PosaSet(
-        v0=P.first,
-        base=P,
-        endpoints=endpoints,
-        representatives=reps,
-        saturated=saturated,
-        posa_inequality=inequality,
-    )
-
-
-def booster_lower_bound(n: int, d: int, u: int) -> Fraction:
-    """Exact rational lower bound u*(C(n-1,d-1) - C(n-1-u,d-1))/d for the
-    number of absent edges that close a longest path into a weak cycle."""
-    if not (0 <= u <= n - 1):
-        raise InputError(f"u={u} outside [0, {n - 1}]")
-    return Fraction(u * (math.comb(n - 1, d - 1) - math.comb(n - 1 - u, d - 1)), d)
-
-
-_BOOSTER_ENUM_LIMIT = 500_000
-
-
-def booster_edges(H: Hypergraph, P: WeakPath) -> frozenset[tuple[int, ...]]:
-    """Absent d-sets whose addition closes the longest path P into a weak
-    cycle of length h+1.
-
-    Caller contract: P is a longest weak path in H and H has no weak cycle of
-    length h+1. For each endpoint w of the rotation closure of P (start
-    fixed), the closure of the reversed representative is computed from w;
-    every absent d-set containing w and at least one endpoint of that second
-    closure is emitted. Each emitted set, once added, closes the witnessing
-    representative into a weak (h+1)-cycle.
-
-    Present d-sets joining w to its second closure are skipped, never
-    emitted (emission is defined over absent sets only); under the caller
-    contract no such present edge can exist anyway, since it would already
-    close a weak (h+1)-cycle. In particular a hypergraph carrying every edge
-    on its vertex support yields the empty set.
-    """
-    vres = validate(P, H)
-    if not vres.ok:
-        raise InputError(f"path invalid: {vres.violation}")
-    if P.h < 2:
-        raise InputError("booster enumeration needs a path of length >= 2")
-    if math.comb(H.n - 1, H.d - 1) > _BOOSTER_ENUM_LIMIT:
-        raise CapabilityError(
-            f"booster enumeration over C({H.n - 1},{H.d - 1}) d-sets is too large"
-        )
-    base = posa_set(H, P, P.first)
-    found: set[tuple[int, ...]] = set()
-    for w, rep in sorted(base.representatives.items()):
-        s_i = posa_set(H, rep.reversed(), w).endpoints
-        for rest in combinations([v for v in range(H.n) if v != w], H.d - 1):
-            if any(x in s_i for x in rest):
-                found.add(tuple(sorted((w,) + rest)))
-    cands = list(found)
-    present = H._has_rows(np.array(cands, dtype=np.int64).reshape(-1, H.d))
-    return frozenset(e for e, p in zip(cands, present.tolist()) if not p)
 
 
 @dataclass(frozen=True)
@@ -644,33 +471,6 @@ def rotation_extension_search(
         cycle=None, path=lift_path(H, best), complete=False, exhausted=exhausted,
         rotations=rots, impossible=_cut_vertex(shadow.adj, pruned, v1), restarts=restarts,
     )
-
-
-def stalled_path(
-    H: Hypergraph,
-    rng: SeededRng | None = None,
-    budget: int | None = None,
-) -> WeakPath:
-    """Grow-and-rotate on the shadow until no closure endpoint can extend;
-    returns the stalled path (saturated in the posa_set sense). Used to
-    manufacture honest inputs for Pósa-set experiments."""
-    v1 = non_isolated_vertices(H)
-    if not v1:
-        raise InputError("hypergraph has no edges: no non-trivial path exists")
-    if budget is None:
-        budget = default_rotation_budget(H.n)
-    gen = (rng or SeededRng(0, 0)).generator()
-    shadow = H.shadow
-    _, best, _, _, exhausted = _engine.search(
-        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts=1, close=False
-    )
-    if exhausted:
-        raise CapabilityError("rotation budget exhausted before any stalled path")
-    if len(best) < 2:
-        # a lone non-isolated vertex cannot happen (edges have d >= 2 vertices
-        # in one component), so growth always reaches length >= 1
-        raise AssertionError("stalled path unexpectedly trivial")
-    return lift_path(H, best)
 
 
 # --- JSON serialization --------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from weakham import Hypergraph, InputError, lift_path, rotate, validate
+from weakham import Hypergraph
 
 # Deterministic, deadline-free profile: exact oracles near their size cutoffs
 # can outlast hypothesis's default deadline, and the whole suite is meant to
@@ -52,38 +52,3 @@ def hypergraphs(draw, min_n=3, max_n=12, ds=(3, 4), min_edges=0, max_edges=None)
 @st.composite
 def vertex_subsets(draw, n: int):
     return frozenset(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
-
-
-def audit_rotations(H: Hypergraph, P, ps) -> list[str]:
-    """Audit the closure `ps = posa_set(H, P, P.first)` against the public
-    rotate: every representative other than the base must pass validate,
-    keep P's vertex set and start, end at its endpoint, and equal
-    rotate(R, e, i) for some other representative R, where e is the cover
-    edge of the pivot pair (R.vertices[i], R.last). Returns one fault per
-    failing representative. The cover edge is the one lift_path picks, the
-    lexicographically smallest edge covering the pair; an uncovered pair
-    raises InputError there and is no rotation."""
-    reps = ps.representatives
-
-    def rotated_from(R, Q):
-        i = R.vertices.index(Q.last) - 1
-        if not 0 <= i <= R.h - 2:
-            return False
-        try:
-            e = lift_path(H, (R.vertices[i], R.last)).edges[0]
-        except InputError:
-            return False
-        return rotate(R, e, i) == Q
-
-    faults = []
-    for u, Q in reps.items():
-        if u == P.last:
-            continue
-        check = validate(Q, H)
-        if not check.ok:
-            faults.append(f"endpoint {u}: {check.violation}")
-        elif Q.vertex_set != P.vertex_set or Q.first != P.first or Q.last != u:
-            faults.append(f"endpoint {u}: vertex set, start or end changed")
-        elif not any(rotated_from(R, Q) for w, R in reps.items() if w != u):
-            faults.append(f"endpoint {u}: not a rotation of any representative")
-    return faults

@@ -17,25 +17,21 @@ from weakham import (
     GnpParams,
     Hypergraph,
     SeededRng,
-    booster_edges,
-    booster_lower_bound,
     estimate_mindeg_probability,
     exact_weak_hamiltonian,
-    has_weak_cycle_of_length,
     limiting_probability,
     make_config,
     p_from_c,
-    posa_set,
     run_experiment,
     sample_gnp,
-    stalled_path,
     u_exact,
     validate,
-    weak_cycle_of_length,
 )
 from weakham.hypercore import neighbors
 
-from conftest import audit_rotations
+from proof_checks import (audit_rotations, booster_edges, booster_lower_bound,
+                          direct_weak_hamiltonian, has_weak_cycle_of_length, posa_set,
+                          stalled_path, weak_cycle_of_length)
 
 SEED = 20260815  # committed acceptance seed; results below are pinned to it
 
@@ -130,8 +126,8 @@ def test_criterion_01_independent_deciders_agree(capsys):
         n = 4 + s % 7  # 4..10
         d = 3 if s % 2 else 4
         H = _gnp(n, d, p_grid[s % 10], SEED + 10_000 + s)
-        a = exact_weak_hamiltonian(H, method="dp")
-        b = exact_weak_hamiltonian(H, method="backtracking-direct")
+        a = exact_weak_hamiltonian(H)
+        b = direct_weak_hamiltonian(H)
         if a.answer != b.answer:
             _report(capsys, 1, "independent-deciders-agree", False,
                     f"disagreement at instance {s}: dp={a.answer} "

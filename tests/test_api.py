@@ -1,7 +1,8 @@
 """Public surface: every exported name resolves, in the package and in each
 submodule, and star-imports succeed; the package exports exactly the
-submodules' `__all__` lists. The package's checks are raises, never
-assert statements, and only hypercore looks rows up by their keys."""
+submodules' `__all__` lists, and every name the bench's traced rebuild
+imports resolves. The package's checks are raises, never assert
+statements, and only hypercore looks rows up by their keys."""
 
 from __future__ import annotations
 
@@ -79,3 +80,13 @@ def test_only_hypercore_reads_row_keys():
         or (isinstance(node, ast.alias) and node.name == "_row_keys")
     ]
     assert found == []
+
+
+def test_bench_rebuild_imports_resolve():
+    # the traced bench run imports these; a name gone from the package fails it
+    path = Path(__file__).resolve().parents[1] / "bench" / "rebuild.py"
+    names = [(node.module, alias.name) for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module.startswith("weakham")
+             for alias in node.names]
+    assert ("weakham", "exact_weak_hamiltonian") in names
+    assert [n for n in names if not hasattr(importlib.import_module(n[0]), n[1])] == []

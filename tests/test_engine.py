@@ -18,9 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakham import InputError, rotation_extension_search, stalled_path
+from weakham import InputError, rotation_extension_search
 from weakham._engine import closure_scan, search
 from weakham.randmodels import GnpParams, SeededRng, _bounded_draws, p_from_c, sample_gnp
+
+from proof_checks import stalled_path
 
 
 def _graph(n, pairs):

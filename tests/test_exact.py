@@ -6,7 +6,8 @@ the edge process by enumerating every edge subset at n=5 and n=6, d=3.
 Every band test follows one rule, fixed before the tables were read: each
 cell lies in its Wilson interval at z = 4 (a two-sided miss rate of 6.3e-5
 a cell, so below 1e-3 over the 12 min-degree cells, and over the 8 weak
-Hamiltonicity cells), and a mean lies within 4 standard errors."""
+Hamiltonicity cells; 2e-3 over the 32 t_ham cells), and a mean lies
+within 4 standard errors."""
 
 from __future__ import annotations
 
@@ -192,6 +193,11 @@ def _process_meets_the_law(n: int) -> None:
     cfg = ExperimentConfig("process", n=n, d=3, trials=4000, seed=0)
     tab = run_experiment(cfg)
     assert _in_band(tab.column("equal").count("1"), cfg.trials, equal)
+    # P(t_ham <= m) is the share of weakly Hamiltonian m-subsets
+    t_ham = [int(t) for t in tab.column("t_ham")]
+    for m, h in enumerate(subset_counts(n, 3)[1]):
+        hits = sum(t <= m for t in t_ham)
+        assert _in_band(hits, cfg.trials, Fraction(h, comb(comb(n, 3), m))), (n, m, hits)
     gaps = [int(g) for g in tab.column("gap")]
     mean = sum(gaps) / len(gaps)
     sd = math.sqrt(sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1))

@@ -22,7 +22,6 @@ from weakham import (
     SeededRng,
     greedy_probe,
     is_connected_on,
-    is_non_expanding,
     make_config,
     minimal_nonexpanding_connected,
     neighbors,
@@ -47,6 +46,7 @@ from weakham.expansion import (
 from weakham.hypercore import _shadow_words
 
 from conftest import complete_hypergraph, hypergraphs
+from proof_checks import is_non_expanding
 
 
 def H(n, d, edges):

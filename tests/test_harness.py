@@ -464,9 +464,9 @@ def test_process_n16_table_leaves_few_prefixes_to_the_dp_oracle(monkeypatch):
     calls = []
     real = oracle.exact_weak_hamiltonian
 
-    def counting(H, method="dp"):
+    def counting(H):
         calls.append(H.m)
-        return real(H, method)
+        return real(H)
 
     monkeypatch.setattr(oracle, "exact_weak_hamiltonian", counting)
     run_experiment(make_config("process", {"n": "16", "trials": "200", "seed": "0"}))

@@ -20,22 +20,16 @@ from weakham import (
     ValidationResult,
     WeakCycle,
     WeakPath,
-    booster_edges,
-    booster_lower_bound,
     exact_weak_hamiltonian,
     GnpParams,
-    has_weak_cycle_of_length,
     isolated_vertices,
     lift_cycle,
     lift_path,
     neighbors,
     non_isolated_vertices,
     p_from_c,
-    posa_set,
-    rotate,
     rotation_extension_search,
     sample_gnp,
-    stalled_path,
     u_exact,
     validate,
     weak_from_json,
@@ -45,7 +39,9 @@ from weakham.hypercore import _reach
 from weakham.weakpaths import (_check_witness, _cut_vertex, _forced_edge_pruning,
                                default_rotation_budget)
 
-from conftest import audit_rotations, complete_hypergraph, hypergraphs, petersen
+from conftest import complete_hypergraph, hypergraphs, petersen
+from proof_checks import (audit_rotations, booster_edges, booster_lower_bound,
+                          has_weak_cycle_of_length, posa_set, rotate, stalled_path)
 
 
 def H(n, d, edges):
