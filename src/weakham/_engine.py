@@ -2,8 +2,7 @@
 
 Works purely at the graph level (vertex ints, adjacency tuples, bitmask
 membership); used by weakpaths for spanning-cycle search on the shadow
-graph. The tests also run it without `close`, for stalled long paths and
-whole rotation closures. Lifting vertex sequences back to weak paths/cycles
+graph. Lifting vertex sequences back to weak paths/cycles
 with concrete hyperedges happens in weakpaths, not here.
 
 The core move set mirrors the classic rotation-extension loop:
@@ -12,15 +11,13 @@ The core move set mirrors the classic rotation-extension loop:
     vertex fixed), testing each endpoint as soon as a rotation reaches it and
     stopping at the first that can extend; only a failing closure is walked
     to the end;
-  * when cycles are sought, an endpoint adjacent to the start closes one:
+  * an endpoint adjacent to the start (on 3+ vertices) closes a cycle:
     success if it spans the target, otherwise splice in an outside neighbor
     (possible whenever the target is connected) and keep growing;
   * at a stall, scan the far-side closure of every closure endpoint (its
     reversed representative, smallest endpoint first) before giving up the
     start; restart a few times from random starts, all under one global
     rotation budget.
-
-One driver, `search`, serves both uses; `close` is its only mode switch.
 
 Paths are `np.intp` arrays from the first growth to the return, so the
 per-rotation work is numpy's: a rotated path is one copy with its tail
@@ -50,6 +47,8 @@ import numpy as np
 from .randmodels import _bounded_draws
 
 __all__ = ["ClosureResult", "closure_scan", "search"]
+
+STARTS = 5  # random starts a search may take
 
 
 class ClosureResult:
@@ -111,14 +110,14 @@ def _rotated(P, i):
     return R
 
 
-def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
+def closure_scan(adj, adj_masks, path, pmask, target_mask, budget):
     """BFS over the rotation closure of `path` (an `np.intp` array) with
     path[0] fixed.
 
     Every endpoint is tested once, when a rotation first reaches it (the
     root's own endpoint before the BFS starts): an endpoint with a target
     neighbor off the path ends the scan with "extend" (the rotated path plus
-    the first such neighbor in adjacency order); otherwise, when `close` and
+    the first such neighbor in adjacency order); otherwise, once
     the path has >= 3 vertices, an endpoint adjacent to path[0] ends it with
     "cycle" (the closing path). `rotations` counts the rotations performed up
     to that point. If no endpoint passes, returns "stall" with one
@@ -136,7 +135,7 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
     v0 = path.item(0)
     h = len(path) - 1
     free = target_mask & ~pmask
-    close = close and h >= 2
+    close = h >= 2
     hit = _endpoint_hit(adj, adj_masks, path.item(-1), free, v0, close)
     if hit is not None:
         return _hit_result(path, hit, 0)
@@ -171,9 +170,9 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close):
         P = reps[R.item(i + 1)] = _rotated(R, i)
 
 
-def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
+def search(adj, adj_masks, target, gen, max_rotations):
     """Rotation-extension search over the vertices of `target`: up to
-    `attempts` random starts under one allowance of `max_rotations`.
+    `STARTS` random starts under one allowance of `max_rotations`.
 
     `gen` is the search's own generator: a PCG64 with no pending half word
     (InputError otherwise), as a fresh `default_rng` or
@@ -189,10 +188,9 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     far-side closure of that endpoint; the reversed path is among them),
     and the attempt ends once every such orientation has stalled too.
 
-    With `close`, an endpoint adjacent to the start closes a cycle: one
+    An endpoint adjacent to the start closes a cycle: one
     spanning the target is returned at once, any other is spliced open
     through an outside neighbor (possible whenever the target is connected).
-    Without it, a stalled path that spans the target ends the attempt.
 
     Returns (cycle | None, path, rotations_used, restarts_used, exhausted),
     with the cycle and path as lists of vertex ints.
@@ -202,8 +200,7 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     neighbors inside V(path). When the allowance ran out before any stall,
     it is the last grown path instead, with no such guarantee.
     `restarts_used` counts the starts after the first. `exhausted` says the
-    allowance ran out before the search had its answer: a spanning cycle
-    with `close`, a stalled path without.
+    allowance ran out before the search found a spanning cycle.
     """
     draw = _bounded_draws(gen)
     t_list = sorted(target)
@@ -213,7 +210,7 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
     rot_used = restarts = 0
     best = None
     out_of_budget = False
-    for attempt in range(max(1, attempts)):
+    for attempt in range(STARTS):
         if attempt and rot_used >= max_rotations:
             out_of_budget = True
             break
@@ -225,7 +222,7 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
         while True:
             res = closure_scan(
                 adj, adj_masks, path, target_mask ^ free, target_mask,
-                max_rotations - rot_used, close,
+                max_rotations - rot_used,
             )
             rot_used += res.rotations
             if res.kind == "budget":
@@ -233,8 +230,6 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
                 break
             if res.kind == "stall":
                 stalled = path
-                if not close and not free:
-                    break  # a spanning path has nothing left to extend into
                 if pending is None:
                     # smallest endpoint is scanned first (popped from the tail);
                     # each representative is reversed only when its turn comes
@@ -264,5 +259,4 @@ def search(adj, adj_masks, target, gen, max_rotations, attempts, close):
             best = stalled
         if out_of_budget:
             break
-    exhausted = out_of_budget and (close or best is None)
-    return None, (path if best is None else best).tolist(), rot_used, restarts, exhausted
+    return None, (path if best is None else best).tolist(), rot_used, restarts, out_of_budget

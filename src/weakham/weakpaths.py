@@ -74,25 +74,6 @@ class WeakPath:
                 f"got {len(self.edges)}"
             )
 
-    @property
-    def h(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def first(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def last(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    def reversed(self) -> "WeakPath":
-        return WeakPath(self.vertices[::-1], self.edges[::-1])
-
 
 @dataclass(frozen=True)
 class WeakCycle:
@@ -460,7 +441,7 @@ def rotation_extension_search(
     shadow = H.shadow
     gen = (rng or SeededRng(0, 0)).generator()
     cyc, best, rots, restarts, exhausted = _engine.search(
-        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts=5, close=True
+        shadow.adj, shadow.adj_masks, v1, gen, budget
     )
     if cyc is not None:
         return SearchOutcome(

@@ -1,12 +1,16 @@
 """Checks that only tests read: the proof's structures (rotations, Pósa
 closures, boosters, stalled paths, weak cycles of a given length), an
 exact decider that never consults the shadow reduction, and the definition
-of non-expansion. They call the package's rotation engine and witness check.
+of non-expansion. Closures and stalled paths run the list-based reference
+engine kept here, with its `close` switch off; the tests check it result for
+result against the package's rotation engine, whose one mode always closes
+cycles. Witnesses go through the package's witness check.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from weakham import _bitdp, _engine
+from weakham import _bitdp
 from weakham.errors import CapabilityError, InputError
 from weakham.hypercore import Hypergraph, _reach, neighbors, non_isolated_vertices
 from weakham.oracle import (DP_MAX_VERTICES, OracleVerdict, _backtrack, _lowest_bit,
@@ -24,6 +28,133 @@ from weakham.weakpaths import (WeakCycle, WeakPath, _check_witness, default_rota
                                lift_cycle, lift_path, validate)
 
 DIRECT_MAX_VERTICES = 16
+
+
+def reversed_path(P: WeakPath) -> WeakPath:
+    """P walked from its other end."""
+    return WeakPath(P.vertices[::-1], P.edges[::-1])
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+# The list-based engine that the package's array engine replaced, kept as
+# an independent reference: same BFS order, RNG calls and sweep, with each
+# position table filled and cleared by Python loops. It keeps the `close`
+# switch and the start count the package's engine dropped; posa_set and
+# stalled_path run it with `close` off.
+
+
+def _list_grow(adj, path, pmask, target_mask, gen):
+    while True:
+        w = path[-1]
+        cands = [x for x in adj[w] if (target_mask >> x) & 1 and not (pmask >> x) & 1]
+        if not cands:
+            return pmask
+        x = cands[int(gen.integers(len(cands)))] if len(cands) > 1 else cands[0]
+        path.append(x)
+        pmask |= 1 << x
+
+
+def _list_endpoint_hit(adj, adj_masks, P, free, v0, close, rotations):
+    u = P[-1]
+    if adj_masks[u] & free:
+        x = next(x for x in adj[u] if (free >> x) & 1)
+        return "extend", P + [x], None, rotations
+    if close and (adj_masks[u] >> v0) & 1:
+        return "cycle", P, None, rotations
+    return None
+
+
+def _list_closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf):
+    v0, h = path[0], len(path) - 1
+    free = target_mask & ~pmask
+    close = close and h >= 2
+    reps = {path[-1]: path}
+    result = _list_endpoint_hit(adj, adj_masks, path, free, v0, close, 0)
+    if result is not None or h < 2:
+        return result or ("stall", None, reps, 0)
+    queue = deque((path,))
+    rotations = 0
+    while queue and result is None:
+        P = queue.popleft()
+        for idx, v in enumerate(P):
+            posbuf[v] = idx
+        for x in adj[P[-1]]:
+            if not (pmask >> x) & 1:
+                continue
+            i = posbuf[x]
+            if i <= h - 2 and P[i + 1] not in reps:
+                if rotations >= budget:
+                    result = ("budget", None, reps, rotations)
+                    break
+                rotations += 1
+                newP = P[: i + 1] + P[:i:-1]
+                result = _list_endpoint_hit(adj, adj_masks, newP, free, v0, close, rotations)
+                if result is not None:
+                    break
+                reps[P[i + 1]] = newP
+                queue.append(newP)
+        for v in P:
+            posbuf[v] = -1
+    return result or ("stall", None, reps, rotations)
+
+
+def _list_search(adj, adj_masks, target, gen, max_rotations, attempts, close):
+    posbuf = [-1] * len(adj)
+    t_list = sorted(target)
+    target_mask = _mask(t_list)
+    rot_used = restarts = 0
+    best = None
+    out_of_budget = False
+    for attempt in range(max(1, attempts)):
+        if attempt and rot_used >= max_rotations:
+            out_of_budget = True
+            break
+        restarts = attempt
+        start = t_list[int(gen.integers(len(t_list)))]
+        path = [start]
+        pmask = _list_grow(adj, path, 1 << start, target_mask, gen)
+        pending = stalled = None
+        while True:
+            kind, newpath, reps_, rots = _list_closure_scan(
+                adj, adj_masks, path, pmask, target_mask,
+                max_rotations - rot_used, close, posbuf,
+            )
+            rot_used += rots
+            if kind == "budget":
+                out_of_budget = True
+                break
+            if kind == "stall":
+                stalled = path
+                if not close and pmask == target_mask:
+                    break
+                if pending is None:
+                    reps = reps_
+                    pending = sorted(reps, reverse=True)
+                if not pending:
+                    break
+                path = reps.pop(pending.pop())[::-1]
+                continue
+            path = newpath
+            if kind == "cycle":
+                if pmask == target_mask:
+                    return path, path, rot_used, restarts, False
+                free = target_mask & ~pmask
+                idx = next((i for i, v in enumerate(path) if adj_masks[v] & free), None)
+                if idx is None:
+                    break
+                x = next(x for x in adj[path[idx]] if (free >> x) & 1)
+                path = path[idx + 1 :] + path[: idx + 1] + [x]
+            pmask = _list_grow(adj, path, pmask | 1 << path[-1], target_mask, gen)
+            pending = None
+        if stalled is not None and (best is None or len(stalled) > len(best)):
+            best = stalled
+        if out_of_budget:
+            break
+    exhausted = out_of_budget and (close or best is None)
+    return None, best or path, rot_used, restarts, exhausted
 
 
 def rotate(P: WeakPath, e: tuple[int, ...], i: int) -> WeakPath:
@@ -43,7 +174,7 @@ def rotate(P: WeakPath, e: tuple[int, ...], i: int) -> WeakPath:
     of weak objects). Membership of e in the host hypergraph is the caller's
     contract, as the path does not carry its host.
     """
-    h = P.h
+    h = len(P.edges)
     if not (0 <= i <= h - 2):
         raise InputError(f"pivot index {i} outside [0, {h - 2}] for a path of length {h}")
     vh = P.vertices[-1]
@@ -59,34 +190,35 @@ def rotate(P: WeakPath, e: tuple[int, ...], i: int) -> WeakPath:
 
 
 def audit_rotations(H: Hypergraph, P, ps) -> list[str]:
-    """Audit the closure `ps = posa_set(H, P, P.first)` against the public
-    rotate: every representative other than the base must pass validate,
-    keep P's vertex set and start, end at its endpoint, and equal
+    """Audit the closure `ps = posa_set(H, P, P.vertices[0])` against the
+    public rotate: every representative other than the base must pass
+    validate, keep P's vertex set and start, end at its endpoint, and equal
     rotate(R, e, i) for some other representative R, where e is the cover
-    edge of the pivot pair (R.vertices[i], R.last). Returns one fault per
-    failing representative. The cover edge is the one lift_path picks, the
-    lexicographically smallest edge covering the pair; an uncovered pair
-    raises InputError there and is no rotation."""
+    edge of the pivot pair (R.vertices[i], R.vertices[-1]). Returns one
+    fault per failing representative. The cover edge is the one lift_path
+    picks, the lexicographically smallest edge covering the pair; an
+    uncovered pair raises InputError there and is no rotation."""
     reps = ps.representatives
 
     def rotated_from(R, Q):
-        i = R.vertices.index(Q.last) - 1
-        if not 0 <= i <= R.h - 2:
+        i = R.vertices.index(Q.vertices[-1]) - 1
+        if not 0 <= i <= len(R.edges) - 2:
             return False
         try:
-            e = lift_path(H, (R.vertices[i], R.last)).edges[0]
+            e = lift_path(H, (R.vertices[i], R.vertices[-1])).edges[0]
         except InputError:
             return False
         return rotate(R, e, i) == Q
 
     faults = []
     for u, Q in reps.items():
-        if u == P.last:
+        if u == P.vertices[-1]:
             continue
         check = validate(Q, H)
         if not check.ok:
             faults.append(f"endpoint {u}: {check.violation}")
-        elif Q.vertex_set != P.vertex_set or Q.first != P.first or Q.last != u:
+        elif (set(Q.vertices) != set(P.vertices) or Q.vertices[0] != P.vertices[0]
+              or Q.vertices[-1] != u):
             faults.append(f"endpoint {u}: vertex set, start or end changed")
         elif not any(rotated_from(R, Q) for w, R in reps.items() if w != u):
             faults.append(f"endpoint {u}: not a rotation of any representative")
@@ -115,7 +247,7 @@ class PosaSet:
 
 def posa_set(H: Hypergraph, P: WeakPath, v0: int) -> PosaSet:
     """Breadth-first rotation closure of P fixing the start v0, walked by
-    the rotation engine's closure scan on the shadow graph.
+    the reference engine's closure scan on the shadow graph.
 
     v0 must be an endpoint of P (the path is reversed internally if it is the
     last vertex). The base path is kept as given; every other representative
@@ -132,25 +264,22 @@ def posa_set(H: Hypergraph, P: WeakPath, v0: int) -> PosaSet:
     vres = validate(P, H)
     if not vres.ok:
         raise InputError(f"base path invalid: {vres.violation}")
-    if P.h < 1:
+    if len(P.edges) < 1:
         raise InputError("path too short for a rotation closure (need h >= 1)")
-    if v0 == P.last and v0 != P.first:
-        P = P.reversed()
-    if v0 != P.first:
+    if v0 == P.vertices[-1] and v0 != P.vertices[0]:
+        P = reversed_path(P)
+    if v0 != P.vertices[0]:
         raise InputError(f"v0={v0} is not an endpoint of the path")
-    pmask = 0
-    for v in P.vertices:
-        pmask |= 1 << v
+    pmask = _mask(P.vertices)
     shadow = H.shadow
     masks = shadow.adj_masks
     # no target vertex lies off the path, so no endpoint can extend, and a
     # closure has at most h endpoints, so the allowance of h rotations never
     # runs out: the scan always ends in "stall" with the full closure
-    res = _engine.closure_scan(
-        shadow.adj, masks, np.array(P.vertices, dtype=np.intp), pmask, pmask, P.h,
-        close=False,
+    _, _, reps, _ = _list_closure_scan(
+        shadow.adj, masks, list(P.vertices), pmask, pmask, len(P.edges), False, [-1] * H.n
     )
-    reps = {w: P if w == P.last else lift_path(H, R.tolist()) for w, R in res.reps.items()}
+    reps = {w: P if w == P.vertices[-1] else lift_path(H, R) for w, R in reps.items()}
     endpoints = frozenset(reps)
     saturated = all(masks[w] & ~pmask == 0 for w in endpoints)
     nbrs = neighbors(H, endpoints)
@@ -161,7 +290,7 @@ def posa_set(H: Hypergraph, P: WeakPath, v0: int) -> PosaSet:
             f"2|S| = {2 * len(endpoints)}"
         )
     return PosaSet(
-        v0=P.first,
+        v0=P.vertices[0],
         base=P,
         endpoints=endpoints,
         representatives=reps,
@@ -201,16 +330,16 @@ def booster_edges(H: Hypergraph, P: WeakPath) -> frozenset[tuple[int, ...]]:
     vres = validate(P, H)
     if not vres.ok:
         raise InputError(f"path invalid: {vres.violation}")
-    if P.h < 2:
+    if len(P.edges) < 2:
         raise InputError("booster enumeration needs a path of length >= 2")
     if math.comb(H.n - 1, H.d - 1) > _BOOSTER_ENUM_LIMIT:
         raise CapabilityError(
             f"booster enumeration over C({H.n - 1},{H.d - 1}) d-sets is too large"
         )
-    base = posa_set(H, P, P.first)
+    base = posa_set(H, P, P.vertices[0])
     found: set[tuple[int, ...]] = set()
     for w, rep in sorted(base.representatives.items()):
-        s_i = posa_set(H, rep.reversed(), w).endpoints
+        s_i = posa_set(H, reversed_path(rep), w).endpoints
         for rest in combinations([v for v in range(H.n) if v != w], H.d - 1):
             if any(x in s_i for x in rest):
                 found.add(tuple(sorted((w,) + rest)))
@@ -224,9 +353,10 @@ def stalled_path(
     rng: SeededRng | None = None,
     budget: int | None = None,
 ) -> WeakPath:
-    """Grow-and-rotate on the shadow until no closure endpoint can extend;
-    returns the stalled path (saturated in the posa_set sense). Used to
-    manufacture honest inputs for Pósa-set experiments."""
+    """Grow-and-rotate on the shadow, by the reference engine from one start
+    without closing cycles, until no closure endpoint can extend; returns the
+    stalled path (saturated in the posa_set sense). Used to manufacture
+    honest inputs for Pósa-set experiments."""
     v1 = non_isolated_vertices(H)
     if not v1:
         raise InputError("hypergraph has no edges: no non-trivial path exists")
@@ -234,8 +364,8 @@ def stalled_path(
         budget = default_rotation_budget(H.n)
     gen = (rng or SeededRng(0, 0)).generator()
     shadow = H.shadow
-    _, best, _, _, exhausted = _engine.search(
-        shadow.adj, shadow.adj_masks, v1, gen, budget, attempts=1, close=False
+    _, best, _, _, exhausted = _list_search(
+        shadow.adj, shadow.adj_masks, v1, gen, budget, 1, False
     )
     if exhausted:
         raise CapabilityError("rotation budget exhausted before any stalled path")

@@ -7,7 +7,6 @@ this file doubles as a sign-off report."""
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
@@ -74,7 +73,7 @@ def posa_scan():
             continue
         instances += 1
         P = stalled_path(H, rng=SeededRng(SEED, s))
-        ps = posa_set(H, P, P.first)
+        ps = posa_set(H, P, P.vertices[0])
         rotations += len(ps.representatives) - 1  # one per non-base endpoint
         rotation_faults.extend((s, f) for f in audit_rotations(H, P, ps))
         S = frozenset(ps.endpoints)
@@ -83,7 +82,7 @@ def posa_scan():
             closure_faults.append((s, "stalled path closure not saturated"))
         if not ps.posa_inequality or not len(N) < 2 * len(S):
             closure_faults.append((s, "expansion inequality violated"))
-        if not (N | S) <= P.vertex_set:
+        if not (N | S) <= set(P.vertices):
             closure_faults.append((s, "closure neighborhood leaves the path"))
     return {
         "instances": instances,
@@ -171,7 +170,7 @@ def test_criterion_04_boosters_close_longer_cycles(capsys):
         if H.m < 2:
             continue
         P = stalled_path(H, rng=SeededRng(SEED + 1, s))
-        h = P.h
+        h = len(P.edges)
         if h < 2 or has_weak_cycle_of_length(H, h + 1):
             continue
         instances += 1

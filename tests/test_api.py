@@ -2,7 +2,8 @@
 submodule, and star-imports succeed; the package exports exactly the
 submodules' `__all__` lists, and every name the bench's traced rebuild
 imports resolves. The package's checks are raises, never assert
-statements, and only hypercore looks rows up by their keys."""
+statements, only hypercore looks rows up by their keys, and no module of
+the package or the tests imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -90,3 +91,31 @@ def test_bench_rebuild_imports_resolve():
              for alias in node.names]
     assert ("weakham", "exact_weak_hamiltonian") in names
     assert [n for n in names if not hasattr(importlib.import_module(n[0]), n[1])] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names `path` imports but never reads: a name counts as read when the
+    module loads it or lists it as a string (as `__all__` does). Imports
+    from `__future__` and star imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    read |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src" / "weakham").glob("*.py")),
+             *sorted((root / "tests").glob("*.py"))]
+    assert [u for path in paths for u in _unused_imports(path)] == []

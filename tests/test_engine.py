@@ -1,17 +1,19 @@
 """The rotation-extension engine on plain graphs: closure scans against an
-independent breadth-first walk over rotations, and the one search driver in
-both modes (cycles sought or not): path invariants of every returned path,
-saturation of stalled paths, rotation budgets, restart counts, the far-side
-stall escape, and seed determinism. The array engine is also compared, result
-for result, with a list-based copy of the engine it replaced, which draws
-through `Generator.integers`, and pinned on four G(n, p) instances at
-n = 1000, one at n = 10^4 and one stalled path. The engine's draws from raw
-PCG64 words are compared with `Generator.integers` directly."""
+independent breadth-first walk over rotations, and the search driver: path
+invariants of every returned path, saturation of stalled paths, rotation
+budgets, restart counts, the far-side stall escape, and seed determinism.
+The array engine is also compared, result for result, with the list-based
+engine it replaced (kept in `proof_checks`), which draws through
+`Generator.integers`, and pinned on four G(n, p) instances at n = 1000 and
+two at n = 10^4. The list engine's second mode, which does not close cycles
+and which `posa_set` and `stalled_path` run, is checked here against the same
+breadth-first walk and saturation rule, and pinned on one stalled path. The
+engine's draws from raw PCG64 words are compared with `Generator.integers`
+directly."""
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 
 import numpy as np
 import pytest
@@ -19,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakham import InputError, rotation_extension_search
-from weakham._engine import closure_scan, search
+from weakham._engine import STARTS, closure_scan, search
 from weakham.randmodels import GnpParams, SeededRng, _bounded_draws, p_from_c, sample_gnp
 
-from proof_checks import stalled_path
+from proof_checks import _list_closure_scan, _list_search, _mask, stalled_path
 
 
 def _graph(n, pairs):
@@ -33,10 +35,6 @@ def _graph(n, pairs):
     adj = tuple(tuple(sorted(s)) for s in nbrs)
     masks = tuple(sum(1 << w for w in s) for s in adj)
     return adj, masks
-
-
-def _mask(vertices):
-    return sum(1 << v for v in vertices)
 
 
 @st.composite
@@ -97,23 +95,34 @@ def _wins(adj, P, target, close):
     return bool(free) or (close and len(P) >= 3 and P[0] in adj[w])
 
 
+def _scan(adj, masks, path, target, budget, close):
+    """(kind, path, reps, rotations) of a closure scan as lists: the
+    package's scan, which always closes cycles, or with `close` off the
+    reference scan that posa_set runs."""
+    if not close:
+        return _list_closure_scan(
+            adj, masks, list(path), _mask(path), _mask(target), budget, False, [-1] * len(adj))
+    res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
+                       _mask(target), budget)
+    reps = res.reps and {u: P.tolist() for u, P in res.reps.items()}
+    return res.kind, None if res.path is None else res.path.tolist(), reps, res.rotations
+
+
 @given(scan_inputs())
 @example(args=(*_graph(2, [(0, 1)]), [0, 1], {0, 1}, 5, True))  # no 2-cycles
 def test_closure_scan_matches_plain_rotation_bfs(args):
     adj, masks, path, target, budget, close = args
-    res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
-                       _mask(target), budget, close)
-    assert 0 <= res.rotations <= budget
+    kind, P, reps, rotations = _scan(adj, masks, path, target, budget, close)
+    assert 0 <= rotations <= budget
     closure = _rotation_closure(adj, path)
     winners = [k for k, P in enumerate(closure) if _wins(adj, P, target, close)]
     if winners and winners[0] <= budget:
         k = winners[0]
-        assert res.kind in ("extend", "cycle")
-        assert res.rotations == k
-        P = res.path.tolist()
+        assert kind in ("extend", "cycle")
+        assert rotations == k
         _assert_path(adj, P)
         assert P[0] == path[0]
-        if res.kind == "extend":
+        if kind == "extend":
             assert P[:-1] == closure[k]
             x = P[-1]
             assert x in target and x not in path
@@ -125,14 +134,13 @@ def test_closure_scan_matches_plain_rotation_bfs(args):
             assert not _wins(adj, P, target, False)
         return
     if not winners and len(closure) - 1 <= budget:
-        assert res.kind == "stall"
-        assert set(res.reps) == {P[-1] for P in closure}
-        assert res.rotations == len(closure) - 1
+        assert kind == "stall"
+        assert set(reps) == {P[-1] for P in closure}
+        assert rotations == len(closure) - 1
     else:
-        assert res.kind == "budget"
-        assert res.rotations == budget
-    for u, P in res.reps.items():
-        P = P.tolist()
+        assert kind == "budget"
+        assert rotations == budget
+    for u, P in reps.items():
         _assert_path(adj, P)
         assert P[0] == path[0] and P[-1] == u and set(P) == set(path)
         assert not _wins(adj, P, target, close)
@@ -144,24 +152,22 @@ def test_closure_scan_tests_each_endpoint_when_it_is_reached():
     adj, masks = _graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1), (4, 2), (2, 5)])
     path = [0, 1, 2, 3, 4]
     for close in (False, True):
-        res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
-                           _mask(range(6)), 100, close)
-        assert res.kind == "extend"
-        assert res.path.tolist() == [0, 1, 4, 3, 2, 5]
-        assert res.rotations == 1
+        assert _scan(adj, masks, path, range(6), 100, close) == (
+            "extend", [0, 1, 4, 3, 2, 5], None, 1)
 
 
 def test_closure_scan_budget_returns_every_representative_as_a_path():
-    # on K6 the root's endpoint 5 rotates at pivot 0 (endpoint 1), and the
-    # next rotation (endpoint 2) is beyond the budget of 1, so the scan stops
-    # with the rotation to 1 still queued: it is returned as a path too
-    adj, masks = _graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    # on the path 0-1-2-3-4-5 with chords 5-1 and 5-2 (no endpoint meets 0),
+    # the root's endpoint 5 rotates at pivot 1 (endpoint 2), and the next
+    # rotation (endpoint 3) is beyond the budget of 1, so the scan stops with
+    # the rotation to 2 still queued: it is returned as a path too
     path = list(range(6))
+    adj, masks = _graph(6, [*zip(path, path[1:]), (5, 1), (5, 2)])
     res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
-                       _mask(path), 1, False)
+                       _mask(path), 1)
     assert (res.kind, res.rotations) == ("budget", 1)
     assert {u: P.tolist() for u, P in res.reps.items()} == {
-        5: [0, 1, 2, 3, 4, 5], 1: [0, 5, 4, 3, 2, 1]}
+        5: [0, 1, 2, 3, 4, 5], 2: [0, 1, 5, 4, 3, 2]}
 
 
 def _seeded(seed):
@@ -187,14 +193,12 @@ def _assert_stalled(adj, P, target, close):
         assert not _wins(adj, Q, target, close)
 
 
-@given(graphs(), st.integers(0, 60), st.integers(1, 4), st.integers(0, 2**16))
-def test_search_cycle_mode_invariants(g, budget, attempts, seed):
+@given(graphs(), st.integers(0, 60), st.integers(0, 2**16))
+def test_search_cycle_mode_invariants(g, budget, seed):
     adj, masks, target = g
-    cyc, best, rots, restarts, exhausted = search(
-        adj, masks, target, _seeded(seed), budget, attempts, close=True
-    )
+    cyc, best, rots, restarts, exhausted = search(adj, masks, target, _seeded(seed), budget)
     assert 0 <= rots <= budget
-    assert 0 <= restarts < attempts
+    assert 0 <= restarts < STARTS
     _assert_path(adj, best)
     assert best and set(best) <= set(target)
     if cyc is not None:
@@ -205,17 +209,18 @@ def test_search_cycle_mode_invariants(g, budget, attempts, seed):
     elif not exhausted:
         # every start was spent; on a connected target each one ended in a
         # full far-side sweep, so the kept path is a stalled orientation
-        assert restarts == attempts - 1
+        assert restarts == STARTS - 1
         if _connected(adj, target):
             _assert_stalled(adj, best, set(target), True)
-    again = search(adj, masks, target, _seeded(seed), budget, attempts, close=True)
+    again = search(adj, masks, target, _seeded(seed), budget)
     assert again == (cyc, best, rots, restarts, exhausted)
 
 
 @given(graphs(), st.integers(0, 60), st.integers(1, 3), st.integers(0, 2**16))
 def test_search_path_mode_invariants(g, budget, attempts, seed):
+    # the reference engine's mode that stalled_path runs
     adj, masks, allowed = g
-    cyc, best, rots, restarts, exhausted = search(
+    cyc, best, rots, restarts, exhausted = _list_search(
         adj, masks, allowed, _seeded(seed), budget, attempts, close=False
     )
     assert cyc is None
@@ -227,9 +232,9 @@ def test_search_path_mode_invariants(g, budget, attempts, seed):
     if not exhausted:
         _assert_stalled(adj, best, set(allowed), False)
     # `exhausted` only when the first start ran out before any stall
-    first = search(adj, masks, allowed, _seeded(seed), budget, 1, close=False)
+    first = _list_search(adj, masks, allowed, _seeded(seed), budget, 1, close=False)
     assert exhausted == first[4]
-    again = search(adj, masks, allowed, _seeded(seed), budget, attempts, close=False)
+    again = _list_search(adj, masks, allowed, _seeded(seed), budget, attempts, close=False)
     assert again == (cyc, best, rots, restarts, exhausted)
 
 
@@ -239,9 +244,7 @@ def test_search_sweeps_the_far_side_before_giving_up_a_start():
     pairs = [(0, 1), (0, 3), (0, 5), (0, 7), (1, 6), (2, 3), (2, 5), (2, 6),
              (3, 4), (3, 6), (4, 5), (4, 7)]
     adj, masks = _graph(8, pairs)
-    cyc, best, rots, restarts, exhausted = search(
-        adj, masks, range(8), _seeded(0), 1000, 1, close=True
-    )
+    cyc, best, rots, restarts, exhausted = search(adj, masks, range(8), _seeded(0), 1000)
     assert cyc is not None and sorted(cyc) == list(range(8))
     _assert_path(adj, cyc)
     assert cyc[0] in adj[cyc[-1]]
@@ -249,129 +252,19 @@ def test_search_sweeps_the_far_side_before_giving_up_a_start():
 
 
 def test_search_sweeps_far_sides_smallest_endpoint_first():
-    # from this start the far side of the smallest closure endpoint leads on
-    # to a Hamilton path; sweeping the largest endpoint first stalls at 6
-    # vertices
+    # 0, 1 and 4 meet only 2 and 3, so there is no Hamilton cycle and every
+    # start stalls; sweeping the largest endpoint first keeps [0, 2, 1, 3, 4]
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+    adj, masks = _graph(5, pairs)
+    assert search(adj, masks, range(5), _seeded(0), 100) == (
+        None, [1, 2, 0, 3, 4], 16, 4, False)
+    # the reference engine without `close`: from this start the far side of
+    # the smallest closure endpoint leads on to a Hamilton path; sweeping the
+    # largest endpoint first stalls at 6 vertices
     pairs = [(0, 2), (0, 5), (1, 2), (1, 5), (2, 4), (3, 4), (3, 5), (4, 6)]
     adj, masks = _graph(7, pairs)
-    assert search(adj, masks, range(7), _seeded(0), 100, 1, close=False) == (
+    assert _list_search(adj, masks, range(7), _seeded(0), 100, 1, close=False) == (
         None, [1, 2, 0, 5, 3, 4, 6], 2, 0, False)
-
-
-# The list-based engine that the array engine replaced, kept here as an
-# independent reference: same BFS order, RNG calls and sweep, with each
-# position table filled and cleared by Python loops.
-
-
-def _list_grow(adj, path, pmask, target_mask, gen):
-    while True:
-        w = path[-1]
-        cands = [x for x in adj[w] if (target_mask >> x) & 1 and not (pmask >> x) & 1]
-        if not cands:
-            return pmask
-        x = cands[int(gen.integers(len(cands)))] if len(cands) > 1 else cands[0]
-        path.append(x)
-        pmask |= 1 << x
-
-
-def _list_endpoint_hit(adj, adj_masks, P, free, v0, close, rotations):
-    u = P[-1]
-    if adj_masks[u] & free:
-        x = next(x for x in adj[u] if (free >> x) & 1)
-        return "extend", P + [x], None, rotations
-    if close and (adj_masks[u] >> v0) & 1:
-        return "cycle", P, None, rotations
-    return None
-
-
-def _list_closure_scan(adj, adj_masks, path, pmask, target_mask, budget, close, posbuf):
-    v0, h = path[0], len(path) - 1
-    free = target_mask & ~pmask
-    close = close and h >= 2
-    reps = {path[-1]: path}
-    result = _list_endpoint_hit(adj, adj_masks, path, free, v0, close, 0)
-    if result is not None or h < 2:
-        return result or ("stall", None, reps, 0)
-    queue = deque((path,))
-    rotations = 0
-    while queue and result is None:
-        P = queue.popleft()
-        for idx, v in enumerate(P):
-            posbuf[v] = idx
-        for x in adj[P[-1]]:
-            if not (pmask >> x) & 1:
-                continue
-            i = posbuf[x]
-            if i <= h - 2 and P[i + 1] not in reps:
-                if rotations >= budget:
-                    result = ("budget", None, reps, rotations)
-                    break
-                rotations += 1
-                newP = P[: i + 1] + P[:i:-1]
-                result = _list_endpoint_hit(adj, adj_masks, newP, free, v0, close, rotations)
-                if result is not None:
-                    break
-                reps[P[i + 1]] = newP
-                queue.append(newP)
-        for v in P:
-            posbuf[v] = -1
-    return result or ("stall", None, reps, rotations)
-
-
-def _list_search(adj, adj_masks, target, gen, max_rotations, attempts, close):
-    posbuf = [-1] * len(adj)
-    t_list = sorted(target)
-    target_mask = _mask(t_list)
-    rot_used = restarts = 0
-    best = None
-    out_of_budget = False
-    for attempt in range(max(1, attempts)):
-        if attempt and rot_used >= max_rotations:
-            out_of_budget = True
-            break
-        restarts = attempt
-        start = t_list[int(gen.integers(len(t_list)))]
-        path = [start]
-        pmask = _list_grow(adj, path, 1 << start, target_mask, gen)
-        pending = stalled = None
-        while True:
-            kind, newpath, reps_, rots = _list_closure_scan(
-                adj, adj_masks, path, pmask, target_mask,
-                max_rotations - rot_used, close, posbuf,
-            )
-            rot_used += rots
-            if kind == "budget":
-                out_of_budget = True
-                break
-            if kind == "stall":
-                stalled = path
-                if not close and pmask == target_mask:
-                    break
-                if pending is None:
-                    reps = reps_
-                    pending = sorted(reps, reverse=True)
-                if not pending:
-                    break
-                path = reps.pop(pending.pop())[::-1]
-                continue
-            path = newpath
-            if kind == "cycle":
-                if pmask == target_mask:
-                    return path, path, rot_used, restarts, False
-                free = target_mask & ~pmask
-                idx = next((i for i, v in enumerate(path) if adj_masks[v] & free), None)
-                if idx is None:
-                    break
-                x = next(x for x in adj[path[idx]] if (free >> x) & 1)
-                path = path[idx + 1 :] + path[: idx + 1] + [x]
-            pmask = _list_grow(adj, path, pmask | 1 << path[-1], target_mask, gen)
-            pending = None
-        if stalled is not None and (best is None or len(stalled) > len(best)):
-            best = stalled
-        if out_of_budget:
-            break
-    exhausted = out_of_budget and (close or best is None)
-    return None, best or path, rot_used, restarts, exhausted
 
 
 @st.composite
@@ -394,12 +287,11 @@ def engine_inputs(draw):
 
 
 @settings(max_examples=300)
-@given(engine_inputs(), st.booleans(), st.integers(0, 200), st.integers(1, 5),
-       st.integers(0, 2**32 - 1))
-def test_search_matches_the_list_based_engine(g, close, budget, attempts, seed):
+@given(engine_inputs(), st.integers(0, 200), st.integers(0, 2**32 - 1))
+def test_search_matches_the_list_based_engine(g, budget, seed):
     adj, masks, target = g
-    got = search(adj, masks, target, _seeded(seed), budget, attempts, close)
-    want = _list_search(adj, masks, target, _seeded(seed), budget, attempts, close)
+    got = search(adj, masks, target, _seeded(seed), budget)
+    want = _list_search(adj, masks, target, _seeded(seed), budget, STARTS, True)
     assert got == want
     assert all(type(v) is int for v in got[1])
 
@@ -442,7 +334,8 @@ def test_search_is_pinned_at_n10000_below_threshold():
 
 
 def test_stalled_path_is_pinned():
-    # the search without `close`, which no gold file pins; recorded as above
+    # the reference engine without `close`, which no gold file pins;
+    # recorded on the package's engine before it dropped that mode
     H = sample_gnp(GnpParams(200, 3, p_from_c(200, 3, 0)), SeededRng(4, 0))
     P = stalled_path(H, rng=SeededRng(4, 1))
     assert len(P.vertices) == 196
@@ -469,4 +362,4 @@ def test_engine_draws_refuse_a_pending_half_word():
         _bounded_draws(gen)
     with pytest.raises(InputError, match="PCG64"):
         search(*_graph(3, [(0, 1), (1, 2)]), range(3),
-               np.random.Generator(np.random.MT19937(0)), 10, 1, close=False)
+               np.random.Generator(np.random.MT19937(0)), 10)

@@ -1,13 +1,14 @@
 """Exact finite-n references, in rational arithmetic, for the threshold and
 process tables: P(min degree >= 1) under G(n,p) and G(n,m) by
 inclusion-exclusion, and P(weak Hamiltonian) and the hitting-time law of
-the edge process by enumerating every edge subset at n=5 and n=6, d=3.
+the edge process by enumerating every edge subset at n=5 and n=6, d=3, and
+(the law only) at n=7, d=2.
 
 Every band test follows one rule, fixed before the tables were read: each
 cell lies in its Wilson interval at z = 4 (a two-sided miss rate of 6.3e-5
 a cell, so below 1e-3 over the 12 min-degree cells, and over the 8 weak
-Hamiltonicity cells; 2e-3 over the 32 t_ham cells), and a mean lies
-within 4 standard errors."""
+Hamiltonicity cells; 2e-3 over the 32 t_ham cells at d=3, and 1.4e-3 over
+the 22 at n=7, d=2), and a mean lies within 4 standard errors."""
 
 from __future__ import annotations
 
@@ -188,16 +189,16 @@ def test_hitting_time_law_at_n5():
     assert hitting_time_law(5, 3) == (Fraction(7, 12), Fraction(5, 12))
 
 
-def _process_meets_the_law(n: int) -> None:
-    equal, gap = hitting_time_law(n, 3)
-    cfg = ExperimentConfig("process", n=n, d=3, trials=4000, seed=0)
+def _process_meets_the_law(n: int, d: int = 3) -> None:
+    equal, gap = hitting_time_law(n, d)
+    cfg = ExperimentConfig("process", n=n, d=d, trials=4000, seed=0)
     tab = run_experiment(cfg)
     assert _in_band(tab.column("equal").count("1"), cfg.trials, equal)
     # P(t_ham <= m) is the share of weakly Hamiltonian m-subsets
     t_ham = [int(t) for t in tab.column("t_ham")]
-    for m, h in enumerate(subset_counts(n, 3)[1]):
+    for m, h in enumerate(subset_counts(n, d)[1]):
         hits = sum(t <= m for t in t_ham)
-        assert _in_band(hits, cfg.trials, Fraction(h, comb(comb(n, 3), m))), (n, m, hits)
+        assert _in_band(hits, cfg.trials, Fraction(h, comb(comb(n, d), m))), (n, d, m, hits)
     gaps = [int(g) for g in tab.column("gap")]
     mean = sum(gaps) / len(gaps)
     sd = math.sqrt(sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1))
@@ -212,6 +213,13 @@ def test_process_table_at_n6_meets_the_exact_hitting_time_law():
     equal, gap = hitting_time_law(6, 3)
     assert (round(float(equal), 6), round(float(gap), 6)) == (0.592879, 0.543344)
     _process_meets_the_law(6)
+
+
+def test_process_table_at_n7_d2_meets_the_exact_hitting_time_law():
+    # for graphs a Hamilton cycle needs minimum degree 2, so tau < t_ham always
+    equal, gap = hitting_time_law(7, 2)
+    assert (equal, round(float(gap), 6)) == (0, 4.441901)
+    _process_meets_the_law(7, 2)
 
 
 def test_weak_hamiltonicity_at_n6_meets_the_threshold_and_gnm_tables():

@@ -23,7 +23,6 @@ from weakham import (
     Hypergraph,
     InputError,
     SeededRng,
-    Table,
     decide_weak_hamiltonian,
     edge_process,
     estimate_mindeg_probability,

@@ -4,7 +4,6 @@ induced subhypergraphs, components, and the canonical text format."""
 from __future__ import annotations
 
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest

@@ -41,7 +41,8 @@ from weakham.weakpaths import (_check_witness, _cut_vertex, _forced_edge_pruning
 
 from conftest import complete_hypergraph, hypergraphs, petersen
 from proof_checks import (audit_rotations, booster_edges, booster_lower_bound,
-                          has_weak_cycle_of_length, posa_set, rotate, stalled_path)
+                          has_weak_cycle_of_length, posa_set, reversed_path, rotate,
+                          stalled_path)
 
 
 def H(n, d, edges):
@@ -56,19 +57,16 @@ PATH_H = Hypergraph.from_edges(5, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
 
 def test_weak_path_shape():
     P = WeakPath((0, 1, 3), ((0, 1, 2), (1, 2, 3)))
-    assert P.h == 2
-    assert P.first == 0
-    assert P.last == 3
-    assert P.vertex_set == frozenset({0, 1, 3})
-    R = P.reversed()
+    assert P.vertices == (0, 1, 3)
+    assert P.edges == ((0, 1, 2), (1, 2, 3))
+    R = reversed_path(P)
     assert R.vertices == (3, 1, 0)
     assert R.edges == ((1, 2, 3), (0, 1, 2))
 
 
 def test_weak_path_single_vertex():
     P = WeakPath((7,), ())
-    assert P.h == 0
-    assert P.first == P.last == 7
+    assert (P.vertices, P.edges) == ((7,), ())
 
 
 def test_weak_path_rejects_empty():
@@ -330,15 +328,15 @@ def test_rotate_interior():
 def test_rotate_last_pivot_is_identity_neighbour():
     # i = h-2 swaps only the final two vertices
     R = rotate(ROT_P, (1, 3, 9), 1)
-    assert R.last == 2
+    assert R.vertices[-1] == 2
 
 
 def test_rotate_keeps_vertex_set_and_start():
     for i, e in ((0, (0, 3, 9)), (1, (1, 3, 9))):
         R = rotate(ROT_P, e, i)
-        assert R.vertex_set == ROT_P.vertex_set
-        assert R.first == ROT_P.first
-        assert R.h == ROT_P.h
+        assert set(R.vertices) == set(ROT_P.vertices)
+        assert R.vertices[0] == ROT_P.vertices[0]
+        assert len(R.edges) == len(ROT_P.edges)
 
 
 def test_rotate_allows_edge_reuse():
@@ -430,13 +428,13 @@ def test_posa_set_saturated_implies_inequality_on_stalled_paths():
         if Hs.m == 0:
             continue
         P = stalled_path(Hs, rng=SeededRng(900 + s))
-        ps = posa_set(Hs, P, P.first)
+        ps = posa_set(Hs, P, P.vertices[0])
         assert ps.saturated
         assert ps.posa_inequality
         S = frozenset(ps.endpoints)
         N = neighbors(Hs, S)
         assert len(N) < 2 * len(S)
-        assert N | S <= P.vertex_set
+        assert N | S <= set(P.vertices)
 
 
 def _gnp(n, d, p, seed):
@@ -495,8 +493,8 @@ def _reference_booster_edges(Hs, P):
     rows: each candidate looked up in the frozenset of H's edge tuples."""
     edge_set = frozenset(Hs.edges)
     out = set()
-    for w, rep in sorted(posa_set(Hs, P, P.first).representatives.items()):
-        s_i = posa_set(Hs, rep.reversed(), w).endpoints
+    for w, rep in sorted(posa_set(Hs, P, P.vertices[0]).representatives.items()):
+        s_i = posa_set(Hs, reversed_path(rep), w).endpoints
         for rest in combinations([v for v in range(Hs.n) if v != w], Hs.d - 1):
             if any(x in s_i for x in rest):
                 e = tuple(sorted((w,) + rest))
@@ -510,7 +508,7 @@ def _reference_booster_edges(Hs, P):
        st.integers(0, 2**16))
 def test_booster_edges_match_the_edge_set_loop(Hs, seed):
     P = stalled_path(Hs, rng=SeededRng(seed))
-    if P.h < 2:
+    if len(P.edges) < 2:
         return
     assert booster_edges(Hs, P) == _reference_booster_edges(Hs, P)
 
@@ -522,7 +520,7 @@ def test_booster_edges_meet_bound_and_create_longer_cycles():
         if Hs.m < 2:
             continue
         P = stalled_path(Hs, rng=SeededRng(2000 + s))
-        h = P.h
+        h = len(P.edges)
         if h < 2 or has_weak_cycle_of_length(Hs, h + 1):
             continue
         out = booster_edges(Hs, P)
@@ -787,7 +785,7 @@ def test_stalled_path_budget_capability():
 
 def test_stalled_path_spans_complete_graph():
     P = stalled_path(complete_hypergraph(9, 3), rng=SeededRng(4))
-    assert P.vertex_set == frozenset(range(9))
+    assert sorted(P.vertices) == list(range(9))
     assert validate(P, complete_hypergraph(9, 3)).ok
 
 
@@ -802,7 +800,7 @@ def test_stalled_path_deterministic():
 def test_stalled_path_is_valid_and_saturated(Hs):
     P = stalled_path(Hs, rng=SeededRng(7))
     assert validate(P, Hs).ok
-    ps = posa_set(Hs, P, P.first)
+    ps = posa_set(Hs, P, P.vertices[0])
     assert ps.saturated
     assert ps.posa_inequality
 
