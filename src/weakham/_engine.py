@@ -27,7 +27,10 @@ array of its own (no buffer is shared between scans). Growth draws its
 candidates from `adj_masks[w] & free`, with the free bitmask kept up to date
 as vertices join: the draw is sized by the mask's popcount, and the
 candidate it names is found by walking `adj[w]`, so candidates count in
-adjacency order. `search` converts only what it returns to lists.
+adjacency order. The walk tests each neighbour in a bytearray of the
+attempt's free vertices, which `_grow` clears as vertices join the path, so
+no big-int shift is made per neighbour walked. `search` converts only what
+it returns to lists.
 
 The draws (starts and growth steps) are numpy's `Generator.integers`,
 replayed from raw PCG64 words by `randmodels._bounded_draws`, the one model
@@ -61,27 +64,31 @@ class ClosureResult:
         self.rotations = rotations
 
 
-def _grow(adj, adj_masks, w, free, draw):
-    """Greedy extension from the end vertex `w` into the `free` bitmask:
-    every step draws r in [0, popcount) of the candidate mask and the walk
-    along `adj[w]` takes the r-th candidate in adjacency order (not vertex
-    order). `draw` is the search's `randmodels._bounded_draws`, reading raw
-    PCG64 words; a lone candidate draws 0 without reading a word, as numpy
-    does. Returns the grown vertices and what is left of `free`."""
+def _grow(adj, adj_masks, w, free, isfree, draw):
+    """Greedy extension from the end vertex `w`, which leaves the free set
+    first, into the `free` bitmask: every step draws r in [0, popcount) of
+    the candidate mask and the walk along `adj[w]` takes the r-th candidate
+    in adjacency order (not vertex order). `isfree` is the same free set as
+    a bytearray indexed by vertex, which the walk reads and which is kept
+    up to date with `free`. `draw` is the search's
+    `randmodels._bounded_draws`, reading raw PCG64 words; a lone candidate
+    draws 0 without reading a word, as numpy does. Returns the grown
+    vertices and what is left of `free`."""
     grown = []
     while True:
+        free ^= 1 << w
+        isfree[w] = 0
         cands = adj_masks[w] & free
         if not cands:
             return grown, free
         r = draw(cands.bit_count())
         for x in adj[w]:
-            if (cands >> x) & 1:
+            if isfree[x]:
                 if not r:
                     break
                 r -= 1
         w = x
         grown.append(w)
-        free ^= 1 << w
 
 
 def _endpoint_hit(adj, adj_masks, u, free, v0, close):
@@ -205,8 +212,10 @@ def search(adj, adj_masks, target, gen, max_rotations):
     draw = _bounded_draws(gen)
     t_list = sorted(target)
     target_mask = 0
+    in_target = bytearray(len(adj))
     for v in t_list:
         target_mask |= 1 << v
+        in_target[v] = 1
     rot_used = restarts = 0
     best = None
     out_of_budget = False
@@ -216,7 +225,8 @@ def search(adj, adj_masks, target, gen, max_rotations):
             break
         restarts = attempt
         start = t_list[draw(len(t_list))]
-        grown, free = _grow(adj, adj_masks, start, target_mask ^ 1 << start, draw)
+        isfree = in_target.copy()
+        grown, free = _grow(adj, adj_masks, start, target_mask, isfree, draw)
         path = np.array([start, *grown], dtype=np.intp)
         pending = stalled = None
         while True:
@@ -250,8 +260,7 @@ def search(adj, adj_masks, target, gen, max_rotations):
                     break  # the cycle's component is used up: target disconnected
                 x = next(x for x in adj[path.item(idx)] if (free >> x) & 1)
                 path = np.concatenate((path[idx + 1 :], path[: idx + 1], (x,)))
-            w = path.item(-1)
-            grown, free = _grow(adj, adj_masks, w, free ^ 1 << w, draw)
+            grown, free = _grow(adj, adj_masks, path.item(-1), free, isfree, draw)
             if grown:
                 path = np.concatenate((path, grown))
             pending = None

@@ -15,13 +15,13 @@ identical bytes. Edge tuples are built from `rows` only where a caller
 reads them; the derived structures are built from it with numpy. A row is
 found by one searchsorted among the rows' big-endian byte keys. Degrees
 are a `bincount`. Every edge contributes its C(d, 2) pairs as codes u*n + v
-(u < v), laid out edge-major, so `np.unique(codes, return_index=True)` gives
-the covered pairs in order together with the first position of each; that
-position over C(d, 2) is the lexicographically smallest edge covering the
-pair, the edge a shadow path is lifted through. The shadow's adjacency
-lists are split from the sorted symmetric pairs; its bitmasks are packed
-once from the covered pairs as uint64 words, which expansion reads as they
-are and the shadow as ints.
+(u < v), laid out edge-major, so one plain sort of the codes keyed by their
+positions gives the covered pairs in order together with the first position
+of each; that position over C(d, 2) is the lexicographically smallest edge
+covering the pair, the edge a shadow path is lifted through. The shadow's
+adjacency lists are split from the sorted symmetric pairs; its bitmasks are
+packed once per hypergraph from the covered pairs as uint64 words, cached
+on it read-only, which expansion reads as they are and the shadow as ints.
 
 Neighborhoods and connectivity are read off those bitmasks: N(V) is the OR
 of the masks of V less V, and every connectivity question in the package
@@ -35,7 +35,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Collection
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,15 +135,40 @@ class Hypergraph:
         """The covered pairs (u, v), u < v, as ascending codes u*n + v, and
         for each the index of the lexicographically smallest edge covering
         it: codes are laid out edge-major and edges are sorted, so the first
-        occurrence of a code lies in that edge."""
-        a, b = np.triu_indices(self.d, 1)
-        codes = (self.rows[:, a] * self.n + self.rows[:, b]).ravel()
-        codes, first = np.unique(codes, return_index=True)
-        return codes, first // len(a)
+        occurrence of a code lies in that edge.
+
+        The first occurrences come from one plain sort of the composite keys
+        code * size + position, size = m * C(d, 2), which order the codes
+        and, within a code, its positions. A key is below n**2 * size, so
+        CapabilityError is raised, before anything is sorted, unless
+        n**2 * size < 2**63."""
+        a, b = _pair_columns(self.d)
+        n, size = self.n, self.m * len(a)
+        if n * n * size >= 2**63:
+            raise CapabilityError(
+                f"n={n} with {size} edge pairs: the covered-pair keys need "
+                f"n**2 * {size} < 2**63"
+            )
+        codes = (self.rows[:, a] * n + self.rows[:, b]).ravel()
+        codes, pos = np.divmod(np.sort(codes * size + np.arange(size)), size)
+        first = np.empty(size, dtype=bool)
+        first[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        return codes[first], pos[first] // len(a)
 
     @cached_property
     def shadow(self) -> "ShadowGraph":
         return shadow_graph(self)
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """The shadow's bitmasks, packed once: see `_shadow_words`."""
+        n = self.n
+        _check_mask_words(n)
+        u, v = np.divmod(self._pairs[0], n)
+        words = _bit_words(n, np.concatenate((u, v)), np.concatenate((v, u)), n + 1)
+        words.flags.writeable = False
+        return words
 
     @cached_property
     def cover_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -213,26 +239,34 @@ def _entry_error(e) -> InputError:
 def _check_rows(n: int, rows: np.ndarray) -> None:
     """Raise InputError naming the first row that breaks the invariants, in
     row order, checking each row's range, then its order, then its place
-    against the previous row."""
-    outside = ((rows < 0) | (rows >= n)).any(axis=1)
-    unsorted = (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
-    diff = rows[1:] != rows[:-1]
-    col = diff.argmax(axis=1)
-    step = np.arange(len(diff))
-    dup = np.zeros_like(outside)
-    dup[1:] = ~diff.any(axis=1)
-    desc = np.zeros_like(outside)
-    desc[1:] = rows[1:][step, col] < rows[:-1][step, col]
-    bad = np.flatnonzero(outside | unsorted | dup | desc)
-    if bad.size == 0:
+    against the previous row.
+
+    The rows are checked a column at a time. A row is bad when it is not
+    strictly ascending, when its first entry is negative or its last is at
+    least n (which, for an ascending row, is any entry outside [0, n)), or
+    when it is not lexicographically above the previous row; the first bad
+    row's message is then found from that row alone."""
+    m, d = rows.shape
+    bad = (rows[:, 0] < 0) | (rows[:, -1] >= n)
+    above = np.zeros(max(m - 1, 0), dtype=bool)  # above the previous row
+    same = ~above  # equal to the previous row on the columns so far
+    for j in range(d):
+        col = rows[:, j]
+        if j:
+            bad |= col <= rows[:, j - 1]
+        now, before = col[1:], col[:-1]
+        above |= same & (now > before)
+        same &= now == before
+    bad[1:] |= ~above
+    if not bad.any():
         return
-    i = int(bad[0])
+    i = int(bad.argmax())
     e = tuple(rows[i].tolist())
-    if outside[i]:
+    if any(not 0 <= v < n for v in e):
         raise InputError(f"edge {e} has a vertex outside [0, {n})")
-    if unsorted[i]:
+    if any(a >= b for a, b in zip(e, e[1:])):
         raise InputError(f"edge {e} is not strictly ascending")
-    if dup[i]:
+    if e == tuple(rows[i - 1].tolist()):
         raise InputError(f"duplicate edge {e}")
     raise InputError("edge list is not sorted lexicographically")
 
@@ -342,13 +376,11 @@ def _shadow_words(H: Hypergraph) -> np.ndarray:
     """The shadow's bitmasks as (n+1) x (n // 64 + 1) uint64 words, the one
     packing of the shadow: bit w of row v is set iff v ~ w. Row n is all
     zero and bit n exists, so vertex n serves as padding in the index
-    matrices of expansion; `shadow_graph` reads rows 0..n-1 as ints.
-    CapabilityError, before allocating, above _SHADOW_WORD_LIMIT."""
-    n = H.n
-    _check_mask_words(n)
-    codes, _ = H._pairs
-    u, v = np.divmod(codes, n)
-    return _bit_words(n, np.concatenate((u, v)), np.concatenate((v, u)), n + 1)
+    matrices of expansion; `shadow_graph` reads rows 0..n-1 as ints. Packed
+    once per hypergraph, and cached on it read-only (`H._words`), so every
+    reader of H shares one array. CapabilityError, before allocating, above
+    _SHADOW_WORD_LIMIT."""
+    return H._words
 
 
 def _check_mask_words(n: int) -> None:
@@ -371,10 +403,20 @@ def _bit_words(n: int, src: np.ndarray, dst: np.ndarray, rows: int) -> np.ndarra
 
 
 def _word_ints(words: np.ndarray) -> tuple[int, ...]:
-    """Each row of a matrix of little-endian uint64 words as an int."""
-    buf = words.tobytes()
-    step = 8 * words.shape[1]
-    return tuple(int.from_bytes(buf[i:i + step], "little") for i in range(0, len(buf), step))
+    """Each row of a C-contiguous matrix of little-endian uint64 words as an
+    int, read from the row's bytes."""
+    rows = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
+    return tuple(map(int.from_bytes, rows, repeat("little")))
+
+
+@lru_cache(maxsize=None)
+def _pair_columns(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column pairs (a, b), a < b, of a d-column row, as two read-only
+    index arrays in `np.triu_indices` order."""
+    cols = np.triu_indices(d, 1)
+    for c in cols:
+        c.flags.writeable = False
+    return cols
 
 
 def induced(H: Hypergraph, W: Iterable[int]) -> Hypergraph:
@@ -446,7 +488,7 @@ def is_connected_on(H: Hypergraph, W: Iterable[int]) -> bool:
     label[ws] = np.arange(k)
     rows = label[H.rows]
     rows = rows[(rows >= 0).all(axis=1)]
-    a, b = np.triu_indices(H.d, 1)
+    a, b = _pair_columns(H.d)
     u, v = rows[:, a].ravel(), rows[:, b].ravel()
     masks = _word_ints(_bit_words(k, np.concatenate((u, v)), np.concatenate((v, u)), k))
     return _reach(masks, 1).bit_count() == k

@@ -115,16 +115,12 @@ class ValidationResult:
         return self.ok
 
 
-def _pair_covered(e: tuple[int, ...], u: int, v: int) -> bool:
-    return u in e and v in e
-
-
-def _first_non_edge(edges, H: Hypergraph) -> int | None:
-    """The index of the first of `edges` (ascending tuples) that is not a
-    row of H, or None, by one `H._has_rows` lookup. numpy converts edges of
-    d integers at once; an entry outside [0, n) matches no row (an entry of
-    2**63 or more, held as uint64, wraps negative). Other edges go through
-    `_edge_row` one at a time."""
+def _edge_array(edges, H: Hypergraph) -> np.ndarray:
+    """`edges` (ascending tuples) as an (len(edges), d) int64 array, for one
+    `H._has_rows` lookup. numpy converts edges of d integers at once; an
+    entry outside [0, n) matches no row (an entry of 2**63 or more, held as
+    uint64, wraps negative). Other edges go through `_edge_row` one at a
+    time."""
     d = H.d
     try:
         rows = np.array(edges)
@@ -133,8 +129,26 @@ def _first_non_edge(edges, H: Hypergraph) -> int | None:
     if rows is None or rows.dtype.kind not in "biu" or rows.shape != (len(edges), d):
         end = min(H.n, 2**63)  # rows hold int64 vertices
         rows = np.array([_edge_row(e, d, end) for e in edges], dtype=np.int64).reshape(-1, d)
-    hit = H._has_rows(rows)
-    return None if hit.all() else int(hit.argmin())
+    return rows.astype(np.int64, copy=False)
+
+
+def _first_uncovered(rows: np.ndarray, vs, cycle: bool) -> int | None:
+    """The index of the first row k that does not hold both vertices of pair
+    k, (vs[k], vs[k + 1]) with a cycle's last pair wrapping to vs[0], or
+    None, checked a column at a time. The rows are rows of H, so a vertex
+    beyond int64 lies in none of them."""
+    try:
+        at = np.array(vs, dtype=np.int64)
+    except OverflowError:
+        at = np.array([v if v < 2**63 else -1 for v in vs], dtype=np.int64)
+    us, ws = at[:len(rows)], (np.concatenate((at[1:], at[:1])) if cycle else at[1:])
+    ok = rows[:, 0] == us
+    has_w = rows[:, 0] == ws
+    for col in rows.T[1:]:
+        ok |= col == us
+        has_w |= col == ws
+    ok &= has_w
+    return None if ok.all() else int(ok.argmin())
 
 
 def _edge_row(e, d: int, end: int) -> list[int]:
@@ -164,16 +178,17 @@ def validate(obj, H: Hypergraph) -> ValidationResult:
     for v in vs:
         if not (0 <= v < H.n):
             return ValidationResult(False, f"vertex {v} out of range [0, {H.n})")
-    k = _first_non_edge(obj.edges, H)
-    if k is not None:
+    rows = _edge_array(obj.edges, H)
+    hit = H._has_rows(rows)
+    if not hit.all():
+        k = int(hit.argmin())
         return ValidationResult(False, f"edge {k} = {obj.edges[k]} is not an edge of H")
-    for k, e in enumerate(obj.edges):
-        u = vs[k]
-        v = vs[(k + 1) % len(vs)] if is_cycle else vs[k + 1]
-        if not _pair_covered(e, u, v):
-            return ValidationResult(
-                False, f"edge {k} = {e} does not cover consecutive pair ({u}, {v})"
-            )
+    k = _first_uncovered(rows, vs, is_cycle)
+    if k is not None:
+        u, v = vs[k], vs[(k + 1) % len(vs)]
+        return ValidationResult(
+            False, f"edge {k} = {obj.edges[k]} does not cover consecutive pair ({u}, {v})"
+        )
     return ValidationResult(True)
 
 

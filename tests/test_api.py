@@ -2,7 +2,8 @@
 submodule, and star-imports succeed; the package exports exactly the
 submodules' `__all__` lists, and every name the bench's traced rebuild
 imports resolves. The package's checks are raises, never assert
-statements, only hypercore looks rows up by their keys, and no module of
+statements, only hypercore looks rows up by their keys or packs the
+shadow's words, and no module of
 the package or the tests imports a name it never reads."""
 
 from __future__ import annotations
@@ -70,15 +71,18 @@ def test_package_has_no_assert_statements():
 
 def test_only_hypercore_reads_row_keys():
     # Hypergraph._has_rows is the one row lookup: no other module reads
-    # H._keys or builds `_row_keys` of its own
+    # H._keys or builds `_row_keys` of its own. Likewise `_shadow_words` is
+    # the one way to the shadow's packed words: no other module reads
+    # H._words or packs with `_bit_words`
+    private = ("_row_keys", "_bit_words")
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(weakham.__file__).parent.glob("*.py"))
         if path.name != "hypercore.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Attribute) and node.attr in ("_keys", "_row_keys"))
-        or (isinstance(node, ast.Name) and node.id == "_row_keys")
-        or (isinstance(node, ast.alias) and node.name == "_row_keys")
+        if (isinstance(node, ast.Attribute) and node.attr in ("_keys", "_words", *private))
+        or (isinstance(node, ast.Name) and node.id in private)
+        or (isinstance(node, ast.alias) and node.name in private)
     ]
     assert found == []
 

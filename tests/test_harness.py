@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from weakham import expansion, harness, oracle
+from weakham import expansion, harness, hypercore, oracle
 from weakham import (
     CapabilityError,
     ExperimentConfig,
@@ -249,6 +249,19 @@ def test_workers_do_not_change_expansion_output():
     assert one.to_csv_text() == two.to_csv_text()
     exhaustive = one.columns.index("u_exhaustive")
     assert not any(row[exhaustive] for row in one.rows)
+
+
+def test_expansion_trial_packs_the_shadow_once(monkeypatch):
+    # components and both sampled checks read the words of one hypergraph
+    packed = []
+    pack = hypercore._bit_words
+    monkeypatch.setattr(hypercore, "_bit_words", lambda *a: packed.append(a[3]) or pack(*a))
+    cfg = make_config("expansion", {"n": "200", "trials": "2", "c_grid": "0", "samples": "200"})
+    p = p_from_c(200, 3, 0)
+    for t in range(2):
+        row = harness._expansion_trial((cfg, 0, p, t, t))
+        assert not row[6]  # the sampled checks ran
+    assert packed == [201, 201]
 
 
 def _napping_square(x):

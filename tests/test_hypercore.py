@@ -30,7 +30,8 @@ from weakham import (
     parse_hypergraph,
     shadow_graph,
 )
-from weakham.hypercore import _reach
+from weakham import hypercore
+from weakham.hypercore import _check_rows, _reach, _shadow_words
 
 from conftest import complete_hypergraph, hypergraphs, vertex_subsets
 
@@ -229,6 +230,36 @@ def test_shadow_beyond_the_word_bound_is_capability_error():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert shadow_graph(Hypergraph(10**4, 3, ((0, 1, 2),))).has_edge(0, 2)
+
+
+def test_shadow_words_are_packed_once_and_read_only(monkeypatch):
+    packed = []
+    pack = hypercore._bit_words
+    monkeypatch.setattr(hypercore, "_bit_words", lambda *a: packed.append(a[3]) or pack(*a))
+    h = H(5, 3, [(0, 1, 2), (2, 3, 4)])
+    words = _shadow_words(h)
+    assert _shadow_words(h) is words and not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0, 0] = 1
+    assert h.shadow.adj_masks == (6, 5, 27, 20, 12) and components(h) == (frozenset(range(5)),)
+    assert packed == [6]  # n + 1 rows, packed once for every reader of h
+
+
+def test_pair_keys_beyond_int64_are_a_capability_error():
+    # a pair code u*n + v wraps int64 at this n (cover_index once named
+    # vertex -2**31); the composite sort key needs n**2 * m * C(d, 2) < 2**63
+    big = 2**31
+    h = Hypergraph(2**32, 3, [(big, big + 1, big + 2)])
+    for read in (lambda: h.cover_index, lambda: lift_path(h, [big, big + 1]),
+                 lambda: lift_cycle(h, [big, big + 1, big + 2])):
+        with pytest.raises(CapabilityError, match=f"n={2**32} with 3 edge pairs"):
+            read()
+    with pytest.raises(CapabilityError):
+        h.shadow
+    # a large n with a few edges still fits
+    h = Hypergraph(10**6, 3, [(0, 1, 999_999), (1, 2, 500_000)])
+    assert h.cover_index[(1, 999_999)] == (0, 1, 999_999)
+    assert lift_path(h, [999_999, 1, 500_000]).edges == ((0, 1, 999_999), (1, 2, 500_000))
 
 
 # --------------------------------------------------------------------- induced
@@ -496,6 +527,49 @@ def test_row_constructor_raises_like_public_constructor(n, rows):
     with pytest.raises(InputError) as public_array:
         Hypergraph(n, 3, arr[np.lexsort(arr.T[::-1])])
     assert str(public_array.value) == str(public.value)
+
+
+def _reference_check_rows(n, rows):
+    """_check_rows as a loop over the rows: each row's range, then its
+    order, then its place against the previous row (tuples compare
+    lexicographically)."""
+    prev = None
+    for e in map(tuple, rows.tolist()):
+        if any(not 0 <= v < n for v in e):
+            raise InputError(f"edge {e} has a vertex outside [0, {n})")
+        if any(a >= b for a, b in zip(e, e[1:])):
+            raise InputError(f"edge {e} is not strictly ascending")
+        if e == prev:
+            raise InputError(f"duplicate edge {e}")
+        if prev is not None and e < prev:
+            raise InputError("edge list is not sorted lexicographically")
+        prev = e
+
+
+@st.composite
+def _row_arrays(draw):
+    """(n, rows): up to 8 rows of d = 2..4 entries in -1..n, the row list
+    sorted or not."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-1, n), min_size=d, max_size=d), max_size=8))
+    if draw(st.booleans()):
+        rows.sort()
+    return n, np.array(rows, dtype=np.int64).reshape(-1, d)
+
+
+@settings(max_examples=500)
+@given(_row_arrays())
+def test_check_rows_matches_a_per_row_loop(case):
+    n, rows = case
+    try:
+        _reference_check_rows(n, rows)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            _check_rows(n, rows)
+        assert str(got.value) == str(exc)
+    else:
+        _check_rows(n, rows)
 
 
 def test_public_constructor_takes_no_rows():

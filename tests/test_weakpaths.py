@@ -303,6 +303,18 @@ def test_validate_refuses_non_integer_entries():
     assert validate(P, PATH_H).violation == "edge 0 = ('0', '1', '2') is not an edge of H"
 
 
+def test_validate_checks_coverage_of_vertices_beyond_int64():
+    # on a huge vertex range a vertex may be in range and still lie in no
+    # row of H, whose rows hold int64 vertices
+    h = Hypergraph(2**64, 3, [(0, 1, 2)])
+    P = WeakPath((1, 2**63), ((0, 1, 2),))
+    assert validate(P, h) == _reference_validate(P, h)
+    assert validate(P, h).violation == (
+        f"edge 0 = (0, 1, 2) does not cover consecutive pair (1, {2**63})"
+    )
+    assert validate(WeakPath((1, 0, 2), ((0, 1, 2), (0, 1, 2))), h)
+
+
 # ------------------------------------------------------------------ rotations
 
 
