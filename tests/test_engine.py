@@ -20,9 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakham import InputError, rotation_extension_search
+from weakham import Hypergraph, InputError, decide_weak_hamiltonian, rotation_extension_search
 from weakham._engine import STARTS, closure_scan, search
-from weakham.randmodels import GnpParams, SeededRng, _bounded_draws, p_from_c, sample_gnp
+from weakham.harness import _SEARCH_LANE
+from weakham.randmodels import (
+    GnpParams, SeededRng, _bounded_draws, _sample_distinct_rows, m_from_c, p_from_c, sample_gnp,
+)
 
 from proof_checks import _list_closure_scan, _list_search, _mask, stalled_path
 
@@ -331,6 +334,35 @@ def test_search_is_pinned_at_n10000_below_threshold():
     assert (out.rotations, out.restarts) == (7668, 0)
     assert _cycle_digest(out.cycle.vertices) == (
         "fc92580b6af61e6cdece82fbe3da6d41c505f633deceae19004aa86105bed707")
+
+
+def test_search_is_pinned_at_n10000_hitting_time():
+    # the first 27,933 edges of one edge stream: its closing scan rotates a
+    # 10,000-vertex Hamilton path 9,984 times, most of the search's memory
+    tau = 27_933
+    rows = _sample_distinct_rows(
+        10**4, 3, m_from_c(10**4, 3, 2) + 200, SeededRng(9, 0).generator())[:tau]
+    H = Hypergraph(10**4, 3, rows[np.lexsort(rows.T[::-1])])
+    verdict = decide_weak_hamiltonian(H, rng=SeededRng(9, 0).shifted(2**48 + tau))
+    assert verdict.answer == "yes"
+    assert (verdict.search.rotations, verdict.search.restarts) == (21_174, 0)
+    assert _cycle_digest(verdict.witness.vertices) == (
+        "452a21d2af7ef512be93614e2486fc75da8366f893fc4ac78478c24c24ad4055")
+
+
+def _stalling_search_graph():
+    # a threshold trial's graph and search stream (seed 45, c = -1): one of
+    # its scans stalls with 993 closure endpoints before a cycle closes
+    rng = SeededRng(45, 0)
+    return sample_gnp(GnpParams(1000, 3, p_from_c(1000, 3, -1)), rng), rng.shifted(_SEARCH_LANE)
+
+
+def test_search_is_pinned_through_a_large_stall():
+    H, rng = _stalling_search_graph()
+    out = rotation_extension_search(H, rng=rng)
+    assert (out.rotations, out.restarts) == (2351, 0)
+    assert _cycle_digest(out.cycle.vertices) == (
+        "b3471943ce97e268512e746377b66a9c42d126adbfe84acbdda09bc0a6d06564")
 
 
 def test_stalled_path_is_pinned():
