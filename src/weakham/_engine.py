@@ -23,7 +23,11 @@ Paths are `np.intp` arrays from the first growth to the return, so the
 per-rotation work is numpy's: a rotated path is one copy with its tail
 reversed, made only when the path is read, and a closure scan fills the
 positions of each dequeued path with one fancy assignment into a position
-array of its own (no buffer is shared between scans). Growth draws its
+array of its own (no buffer is shared between scans). A scan holds a
+dequeued path only while a queued rotation names it: each endpoint reached
+is stored as a link (parent endpoint, pivot), and a representative that a
+stall returns is rebuilt from its links when the search reads it, one at a
+time. Growth draws its
 candidates from `adj_masks[w] & free`, with the free bitmask kept up to date
 as vertices join: the draw is sized by the mask's popcount, and the
 candidate it names is found by walking `adj[w]`, so candidates count in
@@ -55,13 +59,32 @@ STARTS = 5  # random starts a search may take
 
 
 class ClosureResult:
-    __slots__ = ("kind", "path", "reps", "rotations")
+    """A closure scan's outcome. "extend" and "cycle" carry the hit `path`;
+    "stall" and "budget" carry the scanned `root` and `reps`, which maps
+    each endpoint reached to its link: None for the root's endpoint, else
+    (parent endpoint, pivot index), the rotation that first reached it.
+    `rep(u)` rebuilds u's representative path from the links."""
 
-    def __init__(self, kind, path=None, reps=None, rotations=0):
+    __slots__ = ("kind", "path", "root", "reps", "rotations")
+
+    def __init__(self, kind, path=None, root=None, reps=None, rotations=0):
         self.kind = kind  # "extend" | "cycle" | "stall" | "budget"
         self.path = path
+        self.root = root
         self.reps = reps
         self.rotations = rotations
+
+    def rep(self, u):
+        """The representative path ending at u: the root with the pivots of
+        u's chain of links replayed from the root outwards."""
+        pivots = []
+        while (link := self.reps[u]) is not None:
+            u, i = link
+            pivots.append(i)
+        P = self.root
+        for i in reversed(pivots):
+            P = _rotated(P, i)
+        return P
 
 
 def _grow(adj, adj_masks, w, free, isfree, draw):
@@ -127,14 +150,17 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget):
     the first such neighbor in adjacency order); otherwise, once
     the path has >= 3 vertices, an endpoint adjacent to path[0] ends it with
     "cycle" (the closing path). `rotations` counts the rotations performed up
-    to that point. If no endpoint passes, returns "stall" with one
-    representative path per endpoint of the full closure, or "budget" when
-    the rotation allowance runs out first. Every path returned is an array.
+    to that point. If no endpoint passes, returns "stall" with a link per
+    endpoint of the full closure, or "budget" with a link per endpoint
+    reached when the rotation allowance runs out first; `rep(u)` rebuilds
+    a representative from the links. The hit path returned is an array.
 
     A rotation only names its endpoint until the path is read: the queue
     holds (parent, pivot) pairs, and a rotated path is copied when it is
-    dequeued, when it is the hit returned, or, for "budget", when it is one
-    of the representatives returned; the endpoint tests need no copy.
+    dequeued or when it is the hit returned; the endpoint tests need no
+    copy. A dequeued path is kept by nothing but the queued rotations that
+    name it, so it is freed once the last of them is dequeued: the scan
+    holds the parents of its queue, not every path of the closure.
     The scan keeps its own position array, filled by one assignment per
     dequeued path and never cleared: a position is only read for a vertex
     on the path (its `pmask` bit set), and each fill overwrites all of them.
@@ -146,7 +172,7 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget):
     hit = _endpoint_hit(adj, adj_masks, path.item(-1), free, v0, close)
     if hit is not None:
         return _hit_result(path, hit, 0)
-    reps = {path.item(-1): path}
+    reps = {path.item(-1): None}
     pos = np.empty(len(adj), dtype=np.intp)
     order = np.arange(h + 1, dtype=np.intp)
     queue = deque()
@@ -154,7 +180,8 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget):
     P = path
     while True:
         pos[P] = order
-        for x in adj[P.item(-1)]:
+        w = P.item(-1)
+        for x in adj[w]:
             if not (pmask >> x) & 1:
                 continue
             i = pos.item(x)
@@ -162,19 +189,16 @@ def closure_scan(adj, adj_masks, path, pmask, target_mask, budget):
                 u = P.item(i + 1)
                 if u not in reps:
                     if rotations >= budget:
-                        for R, j in queue:
-                            reps[R.item(j + 1)] = _rotated(R, j)
-                        return ClosureResult("budget", reps=reps, rotations=rotations)
+                        return ClosureResult("budget", root=path, reps=reps, rotations=rotations)
                     rotations += 1
                     hit = _endpoint_hit(adj, adj_masks, u, free, v0, close)
                     if hit is not None:
                         return _hit_result(_rotated(P, i), hit, rotations)
-                    reps[u] = None  # copied when dequeued
+                    reps[u] = (w, i)
                     queue.append((P, i))
         if not queue:
-            return ClosureResult("stall", reps=reps, rotations=rotations)
-        R, i = queue.popleft()
-        P = reps[R.item(i + 1)] = _rotated(R, i)
+            return ClosureResult("stall", root=path, reps=reps, rotations=rotations)
+        P = _rotated(*queue.popleft())
 
 
 def search(adj, adj_masks, target, gen, max_rotations):
@@ -193,7 +217,9 @@ def search(adj, adj_masks, target, gen, max_rotations):
     extend. At a stall, the reversed representative of each closure endpoint
     is scanned in turn, smallest endpoint first (one scan sweeps the whole
     far-side closure of that endpoint; the reversed path is among them),
-    and the attempt ends once every such orientation has stalled too.
+    and the attempt ends once every such orientation has stalled too. Only
+    the first stall's result is kept, and each representative is rebuilt
+    from its links when its turn comes.
 
     An endpoint adjacent to the start closes a cycle: one
     spanning the target is returned at once, any other is spliced open
@@ -242,13 +268,13 @@ def search(adj, adj_masks, target, gen, max_rotations):
                 stalled = path
                 if pending is None:
                     # smallest endpoint is scanned first (popped from the tail);
-                    # each representative is reversed only when its turn comes
-                    reps = res.reps
-                    pending = sorted(reps, reverse=True)
+                    # each representative is rebuilt and reversed only when
+                    # its turn comes
+                    first = res
+                    pending = sorted(res.reps, reverse=True)
                 if not pending:
                     break  # every far-side orientation stalled as well
-                path = reps.pop(pending.pop())[::-1]
-                res = None  # free a far-side closure before the next is built
+                path = first.rep(pending.pop())[::-1]
                 continue
             path = res.path
             if res.kind == "cycle":

@@ -14,6 +14,7 @@ directly."""
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakham import Hypergraph, InputError, decide_weak_hamiltonian, rotation_extension_search
+from weakham import _engine
 from weakham._engine import STARTS, closure_scan, search
 from weakham.harness import _SEARCH_LANE
 from weakham.randmodels import (
@@ -107,7 +109,7 @@ def _scan(adj, masks, path, target, budget, close):
             adj, masks, list(path), _mask(path), _mask(target), budget, False, [-1] * len(adj))
     res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
                        _mask(target), budget)
-    reps = res.reps and {u: P.tolist() for u, P in res.reps.items()}
+    reps = res.reps and {u: res.rep(u).tolist() for u in res.reps}
     return res.kind, None if res.path is None else res.path.tolist(), reps, res.rotations
 
 
@@ -169,7 +171,7 @@ def test_closure_scan_budget_returns_every_representative_as_a_path():
     res = closure_scan(adj, masks, np.array(path, dtype=np.intp), _mask(path),
                        _mask(path), 1)
     assert (res.kind, res.rotations) == ("budget", 1)
-    assert {u: P.tolist() for u, P in res.reps.items()} == {
+    assert {u: res.rep(u).tolist() for u in res.reps} == {
         5: [0, 1, 2, 3, 4, 5], 2: [0, 1, 5, 4, 3, 2]}
 
 
@@ -363,6 +365,29 @@ def test_search_is_pinned_through_a_large_stall():
     assert (out.rotations, out.restarts) == (2351, 0)
     assert _cycle_digest(out.cycle.vertices) == (
         "b3471943ce97e268512e746377b66a9c42d126adbfe84acbdda09bc0a6d06564")
+
+
+def test_search_holds_only_the_rotated_paths_it_will_read(monkeypatch):
+    # a dequeued path lives only while a queued rotation names it, and a
+    # stall's representatives are rebuilt one at a time; keeping every
+    # dequeued path held 1,011 at once here, against 218
+    rotated = _engine._rotated
+    live = [0, 0]  # alive now, most alive at once
+
+    def release():
+        live[0] -= 1
+
+    def counted(P, i):
+        R = rotated(P, i)
+        weakref.finalize(R, release)
+        live[0] += 1
+        live[1] = max(live)
+        return R
+
+    monkeypatch.setattr(_engine, "_rotated", counted)
+    H, rng = _stalling_search_graph()
+    assert rotation_extension_search(H, rng=rng).rotations == 2351
+    assert live[1] <= 250
 
 
 def test_stalled_path_is_pinned():
