@@ -5,11 +5,13 @@ budgets, restart counts, the far-side stall escape, and seed determinism.
 The array engine is also compared, result for result, with the list-based
 engine it replaced (kept in `proof_checks`), which draws through
 `Generator.integers`, and pinned on four G(n, p) instances at n = 1000 and
-two at n = 10^4. The list engine's second mode, which does not close cycles
-and which `posa_set` and `stalled_path` run, is checked here against the same
-breadth-first walk and saturation rule, and pinned on one stalled path. The
-engine's draws from raw PCG64 words are compared with `Generator.integers`
-directly."""
+two at n = 10^4, on a search through a large stall at n = 1000 and on one
+at the hitting time at n = 10^4. A count of live rotated paths bounds what
+a search holds at once. The list engine's second mode, which does not
+close cycles and which `posa_set` and `stalled_path` run, is checked here
+against the same breadth-first walk and saturation rule, and pinned on one
+stalled path. The engine's draws from raw PCG64 words are compared with
+`Generator.integers` directly."""
 
 from __future__ import annotations
 
@@ -369,8 +371,8 @@ def test_search_is_pinned_through_a_large_stall():
 
 def test_search_holds_only_the_rotated_paths_it_will_read(monkeypatch):
     # a dequeued path lives only while a queued rotation names it, and a
-    # stall's representatives are rebuilt one at a time; keeping every
-    # dequeued path held 1,011 at once here, against 218
+    # stall's representatives are rebuilt one at a time: 218 are alive at
+    # most here, and a scan that kept every dequeued path would hold 1,011
     rotated = _engine._rotated
     live = [0, 0]  # alive now, most alive at once
 
