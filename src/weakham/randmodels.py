@@ -244,11 +244,16 @@ def _sample_distinct_rows(
     code. The d-sets kept are the first occurrence of each code in draw order
     (exactly sequential without-replacement sampling), found without a stable
     sort: a plain sort of the codes reveals the repeated ones, and only their
-    positions are resolved. Further batches are drawn until k codes are
-    distinct; the first k are decoded back to rows. Raises CapabilityError,
-    before any draw, when the dense regime would enumerate more than
-    _ENUM_LIMIT d-sets, or when the sparse regime's int64 row codes would
-    overflow or it would draw more than _ENUM_LIMIT rows."""
+    positions are resolved. The first batch is k rows plus their expected
+    losses, about k·C(d,2)/n rows that repeat a vertex and k²/(2·C(n,d))
+    d-sets drawn twice, plus a margin of 64. Further batches of twice the
+    shortfall (at least 256) are drawn until k codes are distinct; the first
+    k are decoded back to rows. The batches are cuts of one continuous
+    `integers` stream, so where it is cut changes the number of calls, not
+    the rows. Raises CapabilityError, before any draw, when the dense regime
+    would enumerate more than _ENUM_LIMIT d-sets, or when the sparse regime's
+    int64 row codes would overflow or it would draw more than _ENUM_LIMIT
+    rows."""
     total = math.comb(n, d)
     if k < 0 or k > total:
         raise InputError(f"cannot draw {k} distinct d-sets from {total}")
@@ -265,7 +270,8 @@ def _sample_distinct_rows(
             f"{k} edges exceed the in-memory sampling limit {_ENUM_LIMIT}"
         )
     parts: list[np.ndarray] = []
-    batch = int(1.25 * k) + 32
+    # k plus the expected losses: rows that repeat a vertex, d-sets drawn twice
+    batch = k + int(k * (d * (d - 1) / (2 * n) + k / (2 * total))) + 64
     while True:
         draw = gen.integers(0, n, size=(batch, d))
         cols = [draw[:, j] for j in range(d)]

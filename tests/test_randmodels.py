@@ -1,7 +1,8 @@
 """Samplers and parameter formulas: G(n,p), G(n,m), the edge process and
 threshold parameterizations. The sparse rejection sampler is also compared,
-row for row, with a copy of the np.unique-based loop it replaced, and its
-rows and coverage masks are pinned at n = 2000/1000/200."""
+row for row, with the np.unique-based loop it replaced, cut into batches by
+a rule of its own, and its rows and coverage masks are pinned at
+n = 2000/1000/200."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import hashlib
 import math
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -362,9 +364,12 @@ def test_samplers_equal_from_edges_of_their_rows(n, d, p):
 
 def _sparse_rows_unique_loop(n, d, k, gen):
     """The sparse branch as it was before the column network: row sort,
-    radix-n codes, and np.unique's first indices."""
+    radix-n codes, and np.unique's first indices. It cuts the integers
+    stream into batches of 2k + 1024 rows, a rule of its own, so agreeing
+    with the sampler also shows that the rows do not depend on where the
+    stream is cut."""
     parts = []
-    batch = int(1.25 * k) + 32
+    batch = 2 * k + 1024
     while True:
         rows = gen.integers(0, n, size=(batch, d))
         rows.sort(axis=1)
@@ -377,7 +382,6 @@ def _sparse_rows_unique_loop(n, d, k, gen):
         _, first = np.unique(codes, return_index=True)
         if first.size >= k:
             return allrows[np.sort(first)[:k]]
-        batch = max(256, 2 * (k - first.size))
 
 
 def _smallest_sparse_n(d):
@@ -465,6 +469,34 @@ class _CountingGenerator:
     def integers(self, *args, **kwargs):
         self.integers_calls += 1
         return self.gen.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+# (n, d, c values, lex): the draws of the bench tables, then d = 4 and 5
+_BENCH_DRAWS = [
+    (2000, 3, (0.0,), False),
+    (1000, 3, (-1.0, 0.0, 1.0, 2.0), True),
+    (200, 3, (0.0,), False),
+    (10**4, 3, (1.0,), False),
+    (1000, 4, (0.0,), False),
+    (1000, 5, (0.0,), False),
+]
+
+
+@pytest.mark.parametrize(
+    "n, d, cs, lex", _BENCH_DRAWS, ids=[f"n{n}-d{d}" for n, d, _, _ in _BENCH_DRAWS]
+)
+def test_sparse_draw_takes_one_batch_at_the_bench_sizes(n, d, cs, lex):
+    # the first batch covers the expected losses with room to spare, so no
+    # draw at these sizes pays for a retry batch
+    for c in cs:
+        params = GnpParams(n, d, p_from_c(n, d, c))
+        for stream in range(50):
+            gen = _CountingGenerator(SeededRng(0, stream).generator())
+            randmodels._gnp_rows(params, SimpleNamespace(generator=lambda: gen), lex)
+            assert gen.integers_calls == 1, (c, stream)
 
 
 def test_sparse_retry_batch_is_pinned():
