@@ -286,9 +286,6 @@ class ShadowGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.adj_masks[u] >> v) & 1 == 1
-
 
 def _vertex_id(v) -> int:
     """v as a Python int, by the vertex rule: a vertex is an integer that

@@ -244,16 +244,17 @@ def _sample_distinct_rows(
     code. The d-sets kept are the first occurrence of each code in draw order
     (exactly sequential without-replacement sampling), found without a stable
     sort: a plain sort of the codes reveals the repeated ones, and only their
-    positions are resolved. The first batch is k rows plus their expected
-    losses, about k·C(d,2)/n rows that repeat a vertex and k²/(2·C(n,d))
-    d-sets drawn twice, plus a margin of 64. Further batches of twice the
-    shortfall (at least 256) are drawn until k codes are distinct; the first
-    k are decoded back to rows. The batches are cuts of one continuous
-    `integers` stream, so where it is cut changes the number of calls, not
-    the rows. Raises CapabilityError, before any draw, when the dense regime
-    would enumerate more than _ENUM_LIMIT d-sets, or when the sparse regime's
-    int64 row codes would overflow or it would draw more than _ENUM_LIMIT
-    rows."""
+    positions are resolved. Every batch is sized by one rule: with `kept`
+    distinct codes held and `short` more needed, enough draws that the
+    expected number of new codes is `short`, plus a margin of 64; batches
+    are drawn until k codes are distinct, and the first k are decoded back
+    to rows. Deduplicating the kept codes followed by a new batch gives the
+    first occurrences of the whole stream, and the batches are cuts of one
+    continuous `integers` stream, so where it is cut changes the number of
+    calls, not the rows. Raises CapabilityError, before any draw, when the
+    dense regime would enumerate more than _ENUM_LIMIT d-sets, or when the
+    sparse regime's int64 row codes would overflow or k exceeds
+    _ENUM_LIMIT."""
     total = math.comb(n, d)
     if k < 0 or k > total:
         raise InputError(f"cannot draw {k} distinct d-sets from {total}")
@@ -269,28 +270,10 @@ def _sample_distinct_rows(
         raise CapabilityError(
             f"{k} edges exceed the in-memory sampling limit {_ENUM_LIMIT}"
         )
-    parts: list[np.ndarray] = []
-    # k plus the expected losses: rows that repeat a vertex, d-sets drawn twice
-    batch = k + int(k * (d * (d - 1) / (2 * n) + k / (2 * total))) + 64
-    while True:
-        draw = gen.integers(0, n, size=(batch, d))
-        cols = [draw[:, j] for j in range(d)]
-        for top in range(d - 1, 0, -1):
-            for j in range(top):
-                lo = np.minimum(cols[j], cols[j + 1])
-                cols[j + 1] = np.maximum(cols[j], cols[j + 1])
-                cols[j] = lo
-        ok = np.logical_and.reduce([cols[j] > cols[j - 1] for j in range(1, d)])
-        code = cols[0]
-        for col in cols[1:]:
-            code = code * n + col
-        parts.append(code[ok])
-        # kept: always concatenating read poisson-n2000 about 8% slower (8 of 8 pairs)
-        codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        first = _first_occurrences(codes)
-        if first.size >= k:
-            break
-        batch = max(256, 2 * (k - first.size))
+    first = _first_occurrences(_batch_codes(gen, n, d, total, k, 0))
+    while first.size < k:
+        more = _batch_codes(gen, n, d, total, k - first.size, first.size)
+        first = _first_occurrences(np.concatenate((first, more)))
     rows = np.empty((k, d), dtype=np.int64)
     # radix-n codes of ascending rows order like the rows
     rest = np.sort(first[:k]) if lex else first[:k]
@@ -300,6 +283,29 @@ def _sample_distinct_rows(
         rest = high
     rows[:, 0] = rest
     return rows
+
+
+def _batch_codes(
+    gen: np.random.Generator, n: int, d: int, total: int, short: int, kept: int
+) -> np.ndarray:
+    """The radix-n codes, in draw order, of the sorted rows of one batch of
+    uniform draws that repeat no vertex. The batch is sized to add `short`
+    new codes to `kept` distinct ones on average, plus 64."""
+    # r uniform d-sets add about (total - kept)(1 - e^(-r/total)) new codes,
+    # and a drawn row repeats no vertex with probability perm(n, d) / n**d
+    batch = int(-total * math.log1p(-short / (total - kept)) * n**d / math.perm(n, d)) + 64
+    draw = gen.integers(0, n, size=(batch, d))
+    cols = [draw[:, j] for j in range(d)]
+    for top in range(d - 1, 0, -1):
+        for j in range(top):
+            lo = np.minimum(cols[j], cols[j + 1])
+            cols[j + 1] = np.maximum(cols[j], cols[j + 1])
+            cols[j] = lo
+    ok = np.logical_and.reduce([cols[j] > cols[j - 1] for j in range(1, d)])
+    code = cols[0]
+    for col in cols[1:]:
+        code = code * n + col
+    return code[ok]
 
 
 def _first_occurrences(codes: np.ndarray) -> np.ndarray:

@@ -98,10 +98,6 @@ class WeakCycle:
         return len(self.vertices)
 
     @property
-    def spanned(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @property
     def has_distinct_edges(self) -> bool:
         return len(set(self.edges)) == len(self.edges)
 

@@ -52,7 +52,7 @@ def test_single_edge_triangle_is_hamiltonian():
     assert v.answer == "yes"
     assert v.method == "dp"
     C = v.witness
-    assert C.spanned == frozenset(range(3))
+    assert frozenset(C.vertices) == frozenset(range(3))
     assert set(C.edges) == {(0, 1, 2)}  # the one edge, reused three times
     assert validate(C, Hs).ok
 
@@ -132,7 +132,7 @@ def test_methods_agree_on_random_instances():
         if a.answer == "yes":
             assert validate(a.witness, Hs).ok
             assert validate(b.witness, Hs).ok
-            assert a.witness.spanned == frozenset(range(n))
+            assert frozenset(a.witness.vertices) == frozenset(range(n))
             yes += 1
         else:
             no += 1
@@ -192,7 +192,7 @@ def test_decide_agrees_with_the_oracle(case):
             assert v.answer in (exact, "unknown")
         if v.yes:
             assert validate(v.witness, g).ok
-            assert v.witness.spanned == frozenset(range(g.n))
+            assert frozenset(v.witness.vertices) == frozenset(range(g.n))
         assert (v.search is None) == trivial
         if v.answer == "unknown":
             assert v.method == "search" and v.search.impossible is None

@@ -499,13 +499,35 @@ def test_sparse_draw_takes_one_batch_at_the_bench_sizes(n, d, cs, lex):
             assert gen.integers_calls == 1, (c, stream)
 
 
+# the smallest sparse n for each d, with the largest sparse k
+_NEAR_HALF_DRAWS = [(633, 2, 100_013), (108, 3, 102_077), (49, 4, 105_937),
+                    (32, 5, 100_687), (26, 6, 115_114)]
+
+
+@pytest.mark.parametrize(
+    "n, d, k", _NEAR_HALF_DRAWS, ids=[f"n{n}-d{d}" for n, d, _ in _NEAR_HALF_DRAWS]
+)
+def test_near_half_draw_takes_at_most_three_batches(n, d, k):
+    # every batch is sized by the expected new codes it adds to those kept,
+    # so a retry asks for enough rows to fill the shortfall
+    for stream in range(20):
+        gen = _CountingGenerator(SeededRng(0, stream).generator())
+        randmodels._sample_distinct_rows(n, d, k, gen)
+        assert gen.integers_calls <= 3, stream
+
+
 def test_sparse_retry_batch_is_pinned():
-    # C(108, 3) = 204,156 is just above the dense limit, and k just under
-    # half of it leaves the first batch short of k distinct rows
+    # C(108, 3) = 204,156 is just above the dense limit, and k is just under
+    # half of it; stream 1 leaves the first batch short of k distinct rows
     n, d = 108, 3
     k = math.comb(n, d) // 2 - 1
-    gen = _CountingGenerator(SeededRng(3, 0).generator())
-    rows = randmodels._sample_distinct_rows(n, d, k, gen)
-    assert gen.integers_calls > 1
-    assert rows.dtype == np.int64 and rows.shape == (k, d)
-    assert _sha(rows) == "6a8e19efe22416dfd51f12b6326973f05310b0bd70ca536754d23358ae87e693"
+    for stream, rows_digest in [
+        (0, "6a8e19efe22416dfd51f12b6326973f05310b0bd70ca536754d23358ae87e693"),
+        (1, "d71c9d376f71342f0f394f06b7bc951cb3476d9b1e40f5a7ada5ae4fb95d3873"),
+    ]:
+        gen = _CountingGenerator(SeededRng(3, stream).generator())
+        rows = randmodels._sample_distinct_rows(n, d, k, gen)
+        if stream == 1:
+            assert gen.integers_calls == 2
+        assert rows.dtype == np.int64 and rows.shape == (k, d)
+        assert _sha(rows) == rows_digest, stream

@@ -82,7 +82,7 @@ def test_weak_path_rejects_wrong_edge_count():
 def test_weak_cycle_shape():
     C = WeakCycle((1, 2, 3), ((1, 2, 3), (1, 2, 3), (1, 2, 3)))
     assert C.length == 3
-    assert C.spanned == frozenset({1, 2, 3})
+    assert frozenset(C.vertices) == frozenset({1, 2, 3})
     assert not C.has_distinct_edges
 
 
@@ -556,7 +556,7 @@ def test_search_single_edge_finds_triangle():
     assert out.complete
     assert out.impossible is None
     C = out.cycle
-    assert C.spanned == frozenset({0, 1, 2})
+    assert frozenset(C.vertices) == frozenset({0, 1, 2})
     assert set(C.edges) == {(0, 1, 2)}
     assert validate(C, Hs).ok
 
@@ -576,7 +576,7 @@ def test_search_spans_non_isolated_only():
     Hs = H(6, 3, list(combinations(range(5), 3)))
     out = rotation_extension_search(Hs, rng=SeededRng(2))
     assert out.complete
-    assert out.cycle.spanned == frozenset(range(5))
+    assert frozenset(out.cycle.vertices) == frozenset(range(5))
     assert validate(out.cycle, Hs).ok
 
 
